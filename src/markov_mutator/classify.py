@@ -51,6 +51,7 @@ __all__ = [
     "find_negative_in_12_orbit",
     "integer_fixed_points",
     "is_cluster_cyclic",
+    "is_cluster_positive",
     "is_fixed_point",
     "mk_class",
     "mk_class_matm",
@@ -155,18 +156,22 @@ def is_cluster_cyclic(m: MatM) -> tuple[bool, CyclicityCertificate]:
 def _non_decreasing_directions(s: TripleS, rel_eps: float = 0.0) -> list[bool]:
     """For each index i: is s <= gamma_i(s), i.e. 2 s_i <= product of the others?
 
-    The float backend accepts a relative epsilon so that noise-level
-    differences count as non-decreasing.
+    The exact backend decides in plain integers: for s_i != 0 the product
+    of the others is pqr / s_i, so the test is sign(s_i) (pqr - 2 s_i^2) >= 0;
+    for s_i = 0 it is the sign of that product. The float backend accepts
+    a relative epsilon so that noise-level differences count as
+    non-decreasing.
     """
     p, q, r = s.entries()
-    others = (q * r, r * p, p * q)
+    if s.backend == "exact":
+        return [
+            e.sign * (s.pqr - 2 * e.square()) >= 0 if e.sign else a.sign * b.sign >= 0
+            for e, a, b in ((p, q, r), (q, r, p), (r, p, q))
+        ]
     flags = []
-    for own, prod in zip((p, q, r), others):
-        if s.backend == "exact":
-            flags.append(not (prod < own * 2))
-        else:
-            slack = rel_eps * max(1.0, abs(prod))
-            flags.append(own * 2 <= prod + slack)
+    for own, prod in zip((p, q, r), (q * r, r * p, p * q)):
+        slack = rel_eps * max(1.0, abs(prod))
+        flags.append(own * 2 <= prod + slack)
     return flags
 
 
@@ -214,6 +219,16 @@ def _check_cancel(cancel, where: str) -> None:
     """Raise if a cooperative cancellation token (threading.Event-like) is set."""
     if cancel is not None and cancel.is_set():
         raise OperationCancelled(f"{where} was cancelled")
+
+
+def is_cluster_positive(s: TripleS) -> bool:
+    """Entries >= 2 and Markov constant <= 4: the precondition of ab_class's descent.
+
+    The float backend allows 1e-9 of slack on both bounds.
+    """
+    if s.backend == "exact":
+        return all(e.sign > 0 and e.square() >= 4 for e in s.entries()) and markov_c_s(s) <= 4
+    return all(e >= 2.0 - 1e-9 for e in s.entries()) and markov_c_s(s) <= 4.0 + 1e-9
 
 
 def ab_class(s: TripleS, cap: int = DESCENT_CAP, cancel=None) -> ABClass:

@@ -4,8 +4,7 @@ Every subcommand is deterministic given its flags: same invocation,
 same bytes. `--json` switches from human-readable lines to JSON on
 stdout. Exit codes: 0 success, 1 domain errors (invalid input,
 out-of-scope values), 2 resource errors (overflow, caps) and usage
-errors. The worker count for sweep and enumerate is capped by the
-MARKOV_MUTATOR_THREADS environment variable; unset means sequential.
+errors.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Optional, Sequence, Union
 
@@ -26,10 +24,11 @@ from .classify import (
     cyclicity,
     integer_fixed_points,
     is_cluster_cyclic,
+    is_cluster_positive,
     is_fixed_point,
     mk_class,
 )
-from .enumeration import enumerate_m1, surjectivity_witness, worker_count
+from .enumeration import enumerate_m1, surjectivity_witness
 from .errors import DomainError, ResourceError
 from .matrices import MatM, TripleS, markov_c_s
 from .orbits import (
@@ -67,7 +66,7 @@ def _parse_triple(text: str) -> TripleS:
         except ValueError as exc:
             raise DomainError(f"cannot parse float triple {text!r}") from exc
     try:
-        return TripleS.exact(*(Surd.parse(t) for t in parts))
+        return TripleS.parse(text)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
 
@@ -122,18 +121,6 @@ def _classify_matrix(args, m: MatM) -> int:
     return _emit(args, payload, lines)
 
 
-def _is_cluster_positive_gate(s: TripleS) -> bool:
-    """Entries >= 2 and markov constant <= 4; the descent precondition."""
-    if s.backend == "exact":
-        two = Surd.from_int(2)
-        if any(e < two for e in s.entries()):
-            return False
-        return markov_c_s(s) <= 4
-    if any(e < 2.0 - 1e-9 for e in s.entries()):
-        return False
-    return markov_c_s(s) <= 4.0 + 1e-9
-
-
 def _classify_triple(args, s: TripleS) -> int:
     cls = mk_class(s)
     payload = {"triple": str(s), "backend": s.backend, "class": cls.value}
@@ -141,7 +128,7 @@ def _classify_triple(args, s: TripleS) -> int:
     c = markov_c_s(s)
     payload["markov"] = c
     lines.append(f"markov: {c}")
-    gate = s.is_positive() and _is_cluster_positive_gate(s)
+    gate = is_cluster_positive(s)
     payload["cluster_positive"] = gate
     lines.append(f"cluster positive: {'yes' if gate else 'no'}")
     if gate:
@@ -250,26 +237,15 @@ def _sweep_counts(max_entry: int) -> tuple[int, int]:
     buckets: dict[int, list[tuple[int, int, int]]] = {}
     for t in itertools.product(range(1, max_entry + 1), repeat=3):
         buckets.setdefault(t[0] * t[1] * t[2], []).append(t)
-
-    def scan(items: list[tuple[tuple[int, int, int], list[tuple[int, int, int]]]]):
-        cyc = acyc = 0
-        for top, bottoms in items:
+    cyc = acyc = 0
+    for bottoms in buckets.values():
+        for top in bottoms:
             for bottom in bottoms:
-                m = MatM(top[0], top[1], top[2], bottom[0], bottom[1], bottom[2])
-                if is_cluster_cyclic(m)[0]:
+                if is_cluster_cyclic(MatM(*top, *bottom))[0]:
                     cyc += 1
                 else:
                     acyc += 1
-        return cyc, acyc
-
-    tasks = [(top, bottoms) for bottoms in buckets.values() for top in bottoms]
-    workers = worker_count(len(tasks))
-    if workers > 1:
-        chunks = [tasks[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, chunks))
-        return sum(p[0] for p in parts), sum(p[1] for p in parts)
-    return scan(tasks)
+    return cyc, acyc
 
 
 def _cmd_sweep(args) -> int:
@@ -409,3 +385,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -18,8 +18,6 @@ p^2 is mandatory.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -33,22 +31,9 @@ __all__ = [
     "enumerate_m1",
     "surjectivity_witness",
     "surjectivity_witness_alt",
-    "worker_count",
 ]
 
 _SNAP = 1e-9
-
-
-def worker_count(grid_size: int) -> int:
-    """Worker cap from MARKOV_MUTATOR_THREADS; sequential when unset."""
-    raw = os.environ.get("MARKOV_MUTATOR_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"MARKOV_MUTATOR_THREADS must be an integer, got {raw!r}")
-    return max(1, min(cap, grid_size, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -179,14 +164,7 @@ def enumerate_m1(c_target: int, p_square_cap: int | None = None) -> list[M1Repre
         squares = [(a, a, 4) for a in range(4, p_square_cap + 1)]
     else:
         ceiling = bound_r(c_target).r_squared_ceiling
-        cs = list(range(5, ceiling + 1))
-        workers = worker_count(len(cs))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunks = pool.map(lambda c: _scan_c(c, c_target, p_square_cap), cs)
-                squares = [t for chunk in chunks for t in chunk]
-        else:
-            squares = [t for c in cs for t in _scan_c(c, c_target, p_square_cap)]
+        squares = [t for c in range(5, ceiling + 1) for t in _scan_c(c, c_target, p_square_cap)]
     squares.sort(key=lambda t: (t[2], t[1], t[0]))
     return [M1Representative.from_squares(a, b, c, c_target) for a, b, c in squares]
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import NotInShat, ProductMismatch, SignMismatch, ensure_int64
 from .surd import Surd, surd_from_integer_square
@@ -45,7 +45,6 @@ __all__ = [
     "mutate",
     "permute",
     "sk",
-    "validate",
 ]
 
 SixTuple = tuple[int, int, int, int, int, int]
@@ -151,9 +150,15 @@ class MatM:
         return {"tuple": str(self), "entries": list(self.entries())}
 
 
-def validate(x: int, y: int, z: int, xp: int, yp: int, zp: int) -> MatM:
-    """Checked construction; raises ProductMismatch or SignMismatch."""
-    return MatM(x, y, z, xp, yp, zp)
+def _exact_product(p: Surd, q: Surd, r: Surd) -> Optional[int]:
+    """pqr in plain integers, sign * lmn * sqrt(abc); None unless abc is a square."""
+    if p.sign == 0 or q.sign == 0 or r.sign == 0:
+        return 0
+    abc = p.radicand * q.radicand * r.radicand
+    root = math.isqrt(abc)
+    if root * root != abc:
+        return None
+    return p.sign * q.sign * r.sign * p.coeff * q.coeff * r.coeff * root
 
 
 @dataclass(frozen=True)
@@ -162,23 +167,27 @@ class TripleS:
 
     The exact backend requires integer entry squares by construction and
     checks that pqr is an integer; the float backend accepts anything.
+    The product is kept in pqr: an unbounded int for the exact backend,
+    whose entries alone are held to 64 bits, and a float otherwise.
     """
 
     p: Union[Surd, float]
     q: Union[Surd, float]
     r: Union[Surd, float]
+    pqr: Union[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         kinds = {isinstance(e, Surd) for e in self.entries()}
         if len(kinds) != 1:
             raise TypeError("triple entries must be all Surd or all float, not mixed")
         if kinds == {True}:
-            prod = self.p * self.q * self.r
-            if prod.radicand != 1:
+            pqr = _exact_product(self.p, self.q, self.r)
+            if pqr is None:
                 raise NotInShat(
-                    f"pqr = {prod} is not an integer; ({self.p}, {self.q}, {self.r}) "
-                    "has no integer lift"
+                    f"pqr = {self.p * self.q * self.r} is not an integer; "
+                    f"({self.p}, {self.q}, {self.r}) has no integer lift"
                 )
+            object.__setattr__(self, "pqr", pqr)
         else:
             for e in self.entries():
                 if not isinstance(e, (int, float)) or isinstance(e, bool):
@@ -186,6 +195,7 @@ class TripleS:
             object.__setattr__(self, "p", float(self.p))
             object.__setattr__(self, "q", float(self.q))
             object.__setattr__(self, "r", float(self.r))
+            object.__setattr__(self, "pqr", self.p * self.q * self.r)
 
     @classmethod
     def exact(cls, p: Surd, q: Surd, r: Surd) -> TripleS:
@@ -219,7 +229,7 @@ class TripleS:
         parts = text.split(",")
         if len(parts) != 3:
             raise ValueError(f"expected three comma-separated entries, got {text!r}")
-        return cls(*(Surd.parse(part) for part in parts))
+        return cls(*(Surd.parse(part.strip()) for part in parts))
 
     def to_json(self) -> dict:
         if self.backend == "exact":
@@ -360,10 +370,8 @@ def markov_c_s(s: TripleS):
     """p^2 + q^2 + r^2 - pqr; an exact integer for the exact backend."""
     p, q, r = s.entries()
     if s.backend == "exact":
-        prod = p * q * r
-        assert prod.radicand == 1
-        return p.square() + q.square() + r.square() - prod.sign * prod.coeff
-    return p * p + q * q + r * r - p * q * r
+        return p.square() + q.square() + r.square() - s.pqr
+    return p * p + q * q + r * r - s.pqr
 
 
 _PERMS = {

@@ -33,7 +33,6 @@ from .matrices import (
     gamma_tuple,
     mutate_tuple,
     permute,
-    validate,
 )
 
 __all__ = [
@@ -126,7 +125,7 @@ def reduce_to_fundamental(m: MatM) -> OrbitReport:
         cur = gamma_tuple(cur, step)
         word.append(step)
         explored += 1
-    representative = validate(*cur)
+    representative = MatM(*cur)
     return OrbitReport(
         representative=representative,
         path=MutationPath(tuple(reversed(word))),
@@ -140,7 +139,6 @@ def _bfs(
     depth: int,
     step,
     entry_bound: int,
-    collect_all: bool,
     stop_when=None,
 ):
     """Shared no-backtrack BFS over words in gamma or mu.
@@ -190,8 +188,8 @@ def orbit_bfs(
     """
     if depth < 0:
         raise DomainError(f"depth must be non-negative, got {depth}")
-    visited, pruned, _ = _bfs(m.entries(), depth, gamma_tuple, entry_bound, True)
-    members = frozenset(validate(*t) for t in visited)
+    visited, pruned, _ = _bfs(m.entries(), depth, gamma_tuple, entry_bound)
+    members = frozenset(MatM(*t) for t in visited)
     return OrbitBfsResult(members=members, pruned=pruned, depth=depth, entry_bound=entry_bound)
 
 
@@ -210,13 +208,11 @@ def mu_orbit_search_acyclic(
     """
     if depth < 0:
         raise DomainError(f"depth must be non-negative, got {depth}")
-    _, _, hit = _bfs(
-        m.entries(), depth, mutate_tuple, entry_bound, False, stop_when=_is_acyclic_tuple
-    )
+    _, _, hit = _bfs(m.entries(), depth, mutate_tuple, entry_bound, stop_when=_is_acyclic_tuple)
     if hit is None:
         return None
     word, t = hit
-    return MutationPath(word), validate(*t)
+    return MutationPath(word), MatM(*t)
 
 
 def lift_to_matm(s: TripleS) -> MatM:
@@ -247,7 +243,7 @@ def lift_to_matm(s: TripleS) -> MatM:
         sigma = rotations[zeros[0]]
         rotated = permute(s, sigma)
         p, q, _ = rotated.entries()
-        lifted = validate(p.square(), 1, 0, 1, q.square(), 0)
+        lifted = MatM(p.square(), 1, 0, 1, q.square(), 0)
         inverse = tuple(sigma.index(i) + 1 for i in (1, 2, 3))
         return permute(lifted, inverse)
     p, q, r = s.entries()
@@ -258,4 +254,4 @@ def lift_to_matm(s: TripleS) -> MatM:
     if a != u * w or b != u * v or c != v * w:
         raise NotInShat(f"({s}) does not have an integer product pqr")
     l, m, n = p.coeff, q.coeff, r.coeff
-    return validate(l * u, m * v, n * w, l * w, m * u, n * v)
+    return MatM(l * u, m * v, n * w, l * w, m * u, n * v)

@@ -18,30 +18,32 @@ from typing import Any
 
 from .errors import RadicandMismatch, ensure_int64
 
-__all__ = [
-    "Surd",
-    "surd_cmp",
-    "surd_from_integer_square",
-    "surd_mul",
-    "surd_sub_same_radicand",
-]
+__all__ = ["Surd", "surd_from_integer_square"]
 
 
 def _squarefree_split(m: int) -> tuple[int, int]:
     """Split m > 0 as k**2 * d with d squarefree; returns (k, d).
 
-    Trial division up to sqrt(m); radicands here are desk scale.
+    Trial division stops once f**3 exceeds the unfactored rest: that rest
+    then has no prime factor below f, so it is 1, p, pq or p**2, and only
+    p**2 is a square. The cost is O(m ** (1/3)) divisions.
     """
-    k = 1
-    d = m
+    k = d = 1
+    rest = m
     f = 2
-    while f * f <= d:
-        f2 = f * f
-        while d % f2 == 0:
-            d //= f2
-            k *= f
+    while f * f * f <= rest:
+        e = 0
+        while rest % f == 0:
+            rest //= f
+            e += 1
+        k *= f ** (e // 2)
+        if e % 2:
+            d *= f
         f += 1
-    return k, d
+    root = math.isqrt(rest)
+    if root * root == rest:
+        return k * root, d
+    return k, d * rest
 
 
 _SURD_RE = re.compile(
@@ -229,18 +231,3 @@ def surd_from_integer_square(m: int) -> Surd:
         return Surd.zero()
     k, d = _squarefree_split(m)
     return Surd(1, ensure_int64(k, "surd coefficient"), d)
-
-
-def surd_mul(a: Surd, b: Surd) -> Surd:
-    """Exact product in canonical form."""
-    return a * b
-
-
-def surd_sub_same_radicand(a: Surd, b: Surd) -> Surd:
-    """Exact difference a - b when the radicands agree (or an operand is zero)."""
-    return a - b
-
-
-def surd_cmp(a: Surd, b: Surd) -> int:
-    """-1, 0 or +1 as a <, =, > b. Sign analysis plus integer cross-squaring."""
-    return a._cmp(b)

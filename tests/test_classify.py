@@ -16,12 +16,14 @@ from markov_mutator.classify import (
     find_negative_in_12_orbit,
     integer_fixed_points,
     is_cluster_cyclic,
+    is_cluster_positive,
     is_fixed_point,
     mk_class,
     mk_class_matm,
     one_two_orbit,
 )
 from markov_mutator.errors import (
+    INT64_MAX,
     DomainError,
     IterationCapExceeded,
     OperationCancelled,
@@ -111,7 +113,7 @@ def test_cluster_cyclic_iff_sk_gate(m):
     s = sk(m)
     two = Surd.from_int(2)
     gate = all(not (e < two) for e in s.entries()) and markov_c_s(s) <= 4
-    assert ok == gate
+    assert ok == gate == is_cluster_positive(s)
 
 
 # -- M classes ---------------------------------------------------------
@@ -154,6 +156,19 @@ def test_m3_min_below_2_and_m1_c_le_4(s):
         assert min(s.as_floats()) < 2.0
     if cls is MkClass.M1:
         assert markov_c_s(s) <= 4
+
+
+@given(shat_triples(), st.tuples(*[st.sampled_from([-1, 0, 1])] * 3))
+def test_exact_directions_match_surd_products(s, signs):
+    """The integer test on pqr agrees with 2 s_i <= (product of the others) in surds."""
+    t = TripleS.exact(
+        *(e if k > 0 else -e if k < 0 else Surd.zero() for e, k in zip(s.entries(), signs))
+    )
+    p, q, r = t.entries()
+    flags = [not (b * c < a * 2) for a, b, c in ((p, q, r), (q, r, p), (r, p, q))]
+    assert mk_class(t) is {3: MkClass.M1, 2: MkClass.M2}.get(sum(flags), MkClass.M3)
+    step = descent_step(t)
+    assert (step[0] if step else None) == (None if all(flags) else flags.index(False) + 1)
 
 
 @given(st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(-3.0, 0.0))
@@ -203,6 +218,22 @@ def test_ab_class_exact_examples():
     assert out.kind is ABKind.A
     assert str(out.representative) == "3, 3, 3"
     assert list(out.path) == [2, 1]
+
+
+@pytest.mark.parametrize("n, word", [(3 * 10**9, ()), (2**25 + 3, (1,)), (2**20 + 7, (1, 2))])
+def test_climb_with_product_past_64_bits_descends(n, word):
+    """Entries fit in 64 bits but pqr does not; classes, constant and descent still answer."""
+    base = TripleS.exact(*(Surd.from_int(n),) * 3)
+    s = base
+    for k in word:
+        s = gamma_s(s, k)
+    assert abs(s.pqr) > INT64_MAX
+    assert markov_c_s(s) == markov_c_s(base) == 3 * n * n - n**3
+    assert is_cluster_positive(s)
+    out = ab_class(s)
+    assert out.kind is ABKind.A
+    assert out.representative == base
+    assert list(out.path) == list(reversed(word))
 
 
 @given(shat_triples())

@@ -1,9 +1,14 @@
 """End-to-end command-line behavior through the in-process entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import markov_mutator
 from markov_mutator.cli import run
 
 
@@ -17,6 +22,15 @@ def invoke_json(capsys, *argv):
     code, out, err = invoke(capsys, *argv, "--json")
     assert code == 0, err
     return json.loads(out)
+
+
+def run_module(*argv, timeout=60):
+    """`python -m markov_mutator.cli ARGV` in a child process, with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(markov_mutator.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "markov_mutator.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 # classify
@@ -70,6 +84,13 @@ def test_classify_exact_triple_with_descent(capsys):
     assert payload["ab"]["representative"] == "3, 3, 3"
     assert payload["ab"]["path"] == [2, 1]
     assert payload["caps"] == {"descent_cap": 10000}
+
+
+def test_classify_triple_whose_product_exceeds_64_bits(capsys):
+    payload = invoke_json(capsys, "classify", "3000000000, 3000000000, 3000000000")
+    assert payload["class"] == "M1"
+    assert payload["markov"] == -26999999973000000000000000000
+    assert payload["ab"]["kind"] == "A" and payload["ab"]["path"] == []
 
 
 def test_classify_float_triple(capsys):
@@ -250,13 +271,6 @@ def test_sweep_rejects_nonpositive_bound(capsys):
     assert code == 1
 
 
-def test_sweep_threaded_matches_sequential(capsys, monkeypatch):
-    monkeypatch.delenv("MARKOV_MUTATOR_THREADS", raising=False)
-    baseline = invoke_json(capsys, "sweep", "--max-entry", "3")
-    monkeypatch.setenv("MARKOV_MUTATOR_THREADS", "4")
-    assert invoke_json(capsys, "sweep", "--max-entry", "3") == baseline
-
-
 # plumbing
 
 
@@ -264,6 +278,26 @@ def test_output_is_deterministic(capsys):
     first = invoke(capsys, "enumerate", "--markov", "-13", "--json")
     second = invoke(capsys, "enumerate", "--markov", "-13", "--json")
     assert first == second
+
+
+def test_module_entry_point_prints_readme_output():
+    done = run_module("classify", "4 1 2 / 1 4 2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "matrix: 4 1 2 / 1 4 2\n"
+        "cyclicity: positive-cyclic\n"
+        "decision: cluster_cyclic\n"
+        "markov: 4\n"
+        "products: 4 4 4\n"
+        "fixed point: yes\n"
+    )
+
+
+def test_large_prime_radicand_answers_within_deadline():
+    # sqrt(2^61 - 1): trial division up to the square root would take minutes
+    done = run_module("chebyshev", "1", "sqrt(2305843009213693951)", timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "sqrt(2305843009213693951)\n"
 
 
 def test_help_mentions_default_caps(capsys):

@@ -12,7 +12,6 @@ from markov_mutator.enumeration import (
     enumerate_m1,
     surjectivity_witness,
     surjectivity_witness_alt,
-    worker_count,
 )
 from markov_mutator.errors import DomainError
 from markov_mutator.matrices import markov_c_s
@@ -193,31 +192,3 @@ def test_witness_alt_constant(n):
     # (sqrt(9-n), sqrt(9-n), 3) is descent-minimal only up to n = 3
     expected = MkClass.M1 if n <= 3 else MkClass.M2
     assert mk_class(s) is expected
-
-
-# worker plumbing
-
-
-def test_worker_count_defaults_to_one(monkeypatch):
-    monkeypatch.delenv("MARKOV_MUTATOR_THREADS", raising=False)
-    assert worker_count(100) == 1
-
-
-def test_worker_count_clamped(monkeypatch):
-    monkeypatch.setenv("MARKOV_MUTATOR_THREADS", "4")
-    assert worker_count(2) <= 2
-    assert worker_count(100) >= 1
-
-
-def test_worker_count_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("MARKOV_MUTATOR_THREADS", "many")
-    with pytest.raises(DomainError):
-        worker_count(10)
-
-
-def test_enumerate_threaded_matches_sequential(monkeypatch):
-    monkeypatch.delenv("MARKOV_MUTATOR_THREADS", raising=False)
-    sequential = [r.squares for r in enumerate_m1(-13)]
-    monkeypatch.setenv("MARKOV_MUTATOR_THREADS", "3")
-    threaded = [r.squares for r in enumerate_m1(-13)]
-    assert threaded == sequential

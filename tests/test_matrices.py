@@ -22,7 +22,6 @@ from markov_mutator.matrices import (
     mutate,
     permute,
     sk,
-    validate,
 )
 from markov_mutator.surd import Surd
 
@@ -70,27 +69,27 @@ def test_matrix_round_trip(m):
 
 def test_validation_product_mismatch():
     with pytest.raises(ProductMismatch):
-        validate(1, 1, 1, 1, 1, 2)
+        MatM(1, 1, 1, 1, 1, 2)
     with pytest.raises(ProductMismatch):
-        validate(0, 1, 1, 1, 1, 1)
+        MatM(0, 1, 1, 1, 1, 1)
 
 
 def test_validation_sign_mismatch():
     # products match (both -1) but column y pairs 1 with -1
     with pytest.raises(SignMismatch):
-        validate(1, 1, -1, 1, -1, 1)
+        MatM(1, 1, -1, 1, -1, 1)
     with pytest.raises(SignMismatch):
-        validate(0, 1, 1, 2, 1, 0)
+        MatM(0, 1, 1, 2, 1, 0)
 
 
 def test_validation_int64():
     with pytest.raises(OverflowLimitError):
-        validate(1 << 63, 1, 1, 1, 1, 1)
+        MatM(1 << 63, 1, 1, 1, 1, 1)
 
 
 def test_validation_type():
     with pytest.raises(TypeError):
-        validate(1.0, 1, 1, 1, 1, 1)
+        MatM(1.0, 1, 1, 1, 1, 1)
 
 
 def test_parse_and_str():

@@ -1,16 +1,11 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from markov_mutator.errors import OverflowLimitError, RadicandMismatch
-from markov_mutator.surd import (
-    Surd,
-    surd_cmp,
-    surd_from_integer_square,
-    surd_mul,
-    surd_sub_same_radicand,
-)
+from markov_mutator.surd import Surd, _squarefree_split, surd_from_integer_square
 
 SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 17, 19, 21, 23, 26, 29, 30]
 
@@ -20,6 +15,11 @@ surds = st.builds(
     st.sampled_from(SQUAREFREE),
 )
 nonzero_surds = surds.filter(lambda s: not s.is_zero())
+
+
+def cmp(a, b):
+    """-1, 0 or +1 as a <, =, > b, read off the comparison operators."""
+    return (a > b) - (a < b)
 
 
 def test_canonical_zero():
@@ -101,7 +101,7 @@ def test_multiplication_examples():
 
 @given(surds, surds)
 def test_multiplication_exact(a, b):
-    prod = surd_mul(a, b)
+    prod = a * b
     assert prod.square() == a.square() * b.square()
     assert prod.sign == a.sign * b.sign
 
@@ -119,12 +119,12 @@ def test_subtraction_same_radicand():
     assert Surd.make(2, 5) - Surd.zero() == Surd.make(2, 5)
     assert Surd.zero() - Surd.make(2, 5) == Surd.make(-2, 5)
     with pytest.raises(RadicandMismatch):
-        surd_sub_same_radicand(Surd.make(1, 2), Surd.make(1, 3))
+        Surd.make(1, 2) - Surd.make(1, 3)
 
 
 @given(st.sampled_from(SQUAREFREE), st.integers(-40, 40), st.integers(-40, 40))
 def test_subtraction_matches_integer_coefficients(d, j, k):
-    got = surd_sub_same_radicand(Surd.make(j, d), Surd.make(k, d))
+    got = Surd.make(j, d) - Surd.make(k, d)
     assert got == Surd.make(j - k, d)
 
 
@@ -134,7 +134,7 @@ def test_ordering_examples():
     assert Surd.make(-1, 2) < Surd.zero() < Surd.make(1, 2)
     assert Surd.make(-1, 2) > Surd.make(-1, 3)
     assert Surd.make(3, 1) >= Surd.from_int(3)
-    assert surd_cmp(Surd.make(2, 3), Surd.make(2, 3)) == 0
+    assert cmp(Surd.make(2, 3), Surd.make(2, 3)) == 0
 
 
 @given(surds, surds)
@@ -147,7 +147,7 @@ def test_ordering_against_integer_cross_square(a, b):
     else:
         sa, sb = a.square(), b.square()
         expect = a.sign * ((sa > sb) - (sa < sb))
-    assert surd_cmp(a, b) == expect
+    assert cmp(a, b) == expect
     assert (a < b) == (expect < 0)
     assert (a == b) == (expect == 0)
 
@@ -161,7 +161,7 @@ def test_ordering_total(a, b):
 def test_negation(s):
     assert -(-s) == s
     assert (-s).square() == s.square()
-    assert surd_cmp(-s, s) == (-1 if s.sign > 0 else 1)
+    assert cmp(-s, s) == (-1 if s.sign > 0 else 1)
 
 
 def test_from_integer_square():
@@ -176,6 +176,24 @@ def test_from_integer_square():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_from_integer_square_squares_back(m):
     assert surd_from_integer_square(m).square() == m
+
+
+# Values with large prime factors reach every shape the cofactor left after
+# trial division can take: 1, p, pq and p^2.
+_primes = st.integers(2**8, 2**14).map(sympy.nextprime)
+_split_inputs = st.one_of(
+    st.integers(1, 10**12),
+    st.builds(lambda a, p, q: a * p * q, st.integers(1, 2**10), _primes, _primes),
+    st.builds(lambda a, p: a * p * p, st.integers(1, 2**10), _primes),
+)
+
+
+@given(_split_inputs)
+def test_squarefree_split_matches_factorint(m):
+    k, d = _squarefree_split(m)
+    factors = sympy.factorint(m)
+    assert k == math.prod(p ** (e // 2) for p, e in factors.items())
+    assert d == math.prod(p for p, e in factors.items() if e % 2)
 
 
 def test_no_addition_operator():
