@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     DomainError,
@@ -29,6 +29,9 @@ from .matrices import (
     MatM,
     MutationPath,
     TripleS,
+    _coefficients,
+    _from_coefficients,
+    _gamma_step,
     gamma_s,
     markov_c_m,
     markov_c_m_abs,
@@ -153,21 +156,34 @@ def is_cluster_cyclic(m: MatM) -> tuple[bool, CyclicityCertificate]:
 # -- M1 / M2 / M3 ------------------------------------------------------
 
 
+def _exact_directions(ks: Sequence[int], ds: Sequence[int], t: int) -> list[bool]:
+    """_non_decreasing_directions in plain integers.
+
+    Entry i is ks[i] * sqrt(ds[i]) and t = pqr, as in matrices._gamma_step.
+    For s_i != 0 the product of the others is t / s_i, so s_i <= gamma_i(s)
+    is sign(s_i) (t - 2 s_i^2) >= 0; for s_i = 0 it is the sign of that product.
+    """
+    flags = []
+    for i in (0, 1, 2):
+        k = ks[i]
+        if k:
+            twice = 2 * k * k * ds[i]
+            flags.append(t >= twice if k > 0 else t <= twice)
+        else:
+            flags.append(ks[i - 1] * ks[i - 2] >= 0)
+    return flags
+
+
 def _non_decreasing_directions(s: TripleS, rel_eps: float = 0.0) -> list[bool]:
     """For each index i: is s <= gamma_i(s), i.e. 2 s_i <= product of the others?
 
-    The exact backend decides in plain integers: for s_i != 0 the product
-    of the others is pqr / s_i, so the test is sign(s_i) (pqr - 2 s_i^2) >= 0;
-    for s_i = 0 it is the sign of that product. The float backend accepts
-    a relative epsilon so that noise-level differences count as
-    non-decreasing.
+    The exact backend decides in plain integers (_exact_directions). The
+    float backend accepts a relative epsilon so that noise-level
+    differences count as non-decreasing.
     """
-    p, q, r = s.entries()
     if s.backend == "exact":
-        return [
-            e.sign * (s.pqr - 2 * e.square()) >= 0 if e.sign else a.sign * b.sign >= 0
-            for e, a, b in ((p, q, r), (q, r, p), (r, p, q))
-        ]
+        return _exact_directions(*_coefficients(s), s.pqr)
+    p, q, r = s.entries()
     flags = []
     for own, prod in zip((p, q, r), (q * r, r * p, p * q)):
         slack = rel_eps * max(1.0, abs(prod))
@@ -247,39 +263,67 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP, cancel=None) -> ABClass:
     """
     if not s.is_positive():
         raise DomainError("ab_class requires a positive triple")
-    exact = s.backend == "exact"
-    eps = 0.0 if exact else FLOAT_CLASS_EPS
+    if s.backend == "exact":
+        return _ab_class_exact(s, cap, cancel)
     cur = s
     word: list[int] = []
     for iterations in itertools.count():
         _check_cancel(cancel, "ab_class descent")
-        dist = None if exact else max(abs(e - 2.0) for e in cur.entries())
-        if dist is not None and dist < CONVERGENCE_TOL:
+        dist = max(abs(e - 2.0) for e in cur.entries())
+        if dist < CONVERGENCE_TOL:
             return ABClass(ABKind.B, MutationPath(tuple(word)), iterations, limit=(2.0, 2.0, 2.0))
-        cls = mk_class(cur, eps)
-        if cls is MkClass.M1:
+        flags = _non_decreasing_directions(cur, FLOAT_CLASS_EPS)
+        count = sum(flags)
+        if count == 3:
             return ABClass(ABKind.A, MutationPath(tuple(word)), iterations, representative=cur)
-        if cls is MkClass.M3:
-            if dist is not None and dist <= NOISE_BASIN:
+        if count < 2:
+            if dist <= NOISE_BASIN:
                 return ABClass(
                     ABKind.B, MutationPath(tuple(word)), iterations, limit=(2.0, 2.0, 2.0)
                 )
             raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
         if iterations >= cap:
             raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=cur)
-        step = descent_step(cur, eps)
-        assert step is not None  # M2 has a strictly-decreasing direction
-        if dist is not None and dist <= NOISE_BASIN:
+        i = flags.index(False)
+        if dist <= NOISE_BASIN:
             p, q, r = cur.entries()
-            i = step[0] - 1
             own = (p, q, r)[i]
             prod = (q * r, r * p, p * q)[i]
             if 2.0 * own - prod <= NOISE_STEP * max(1.0, prod):
                 return ABClass(
                     ABKind.B, MutationPath(tuple(word)), iterations, limit=(2.0, 2.0, 2.0)
                 )
-        word.append(step[0])
-        cur = step[1]
+        word.append(i + 1)
+        cur = gamma_s(cur, i + 1)
+    raise AssertionError("unreachable")
+
+
+def _ab_class_exact(s: TripleS, cap: int, cancel) -> ABClass:
+    """ab_class on a positive exact triple, stepping in plain integers.
+
+    The radicands never change: gamma keeps a nonzero entry's radicand,
+    and no zero entry is stepped. A step changes one entry of a triple
+    with none zero, and a triple with exactly one zero entry is M3.
+    """
+    ks, ds = _coefficients(s)
+    t = s.pqr
+    word: list[int] = []
+    for iterations in itertools.count():
+        _check_cancel(cancel, "ab_class descent")
+        flags = _exact_directions(ks, ds, t)
+        count = sum(flags)
+        if count == 3:
+            rep = _from_coefficients(ks, ds)
+            return ABClass(ABKind.A, MutationPath(tuple(word)), iterations, representative=rep)
+        if count < 2:
+            cur = _from_coefficients(ks, ds)
+            raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
+        if iterations >= cap:
+            last = _from_coefficients(ks, ds)
+            raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
+        i = flags.index(False)
+        t = _gamma_step(ks, ds, t, i)
+        word.append(i + 1)
     raise AssertionError("unreachable")
 
 

@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import NotInShat, ProductMismatch, SignMismatch, ensure_int64
 from .surd import Surd, surd_from_integer_square
@@ -150,15 +150,18 @@ class MatM:
         return {"tuple": str(self), "entries": list(self.entries())}
 
 
-def _exact_product(p: Surd, q: Surd, r: Surd) -> Optional[int]:
-    """pqr in plain integers, sign * lmn * sqrt(abc); None unless abc is a square."""
-    if p.sign == 0 or q.sign == 0 or r.sign == 0:
-        return 0
-    abc = p.radicand * q.radicand * r.radicand
-    root = math.isqrt(abc)
-    if root * root != abc:
-        return None
-    return p.sign * q.sign * r.sign * p.coeff * q.coeff * r.coeff * root
+def _exact_product(p: Surd, q: Surd, r: Surd) -> tuple[int, int]:
+    """pqr in plain integers as (signed coefficient, squarefree radicand).
+
+    The radicands are multiplied one at a time with their gcd taken out,
+    as Surd multiplication does, but nothing is held to 64 bits.
+    """
+    coeff, rad = p.sign * q.sign * r.sign, 1
+    for e in (p, q, r):
+        g = math.gcd(rad, e.radicand)
+        coeff *= e.coeff * g
+        rad = (rad // g) * (e.radicand // g)
+    return coeff, rad
 
 
 @dataclass(frozen=True)
@@ -181,10 +184,12 @@ class TripleS:
         if len(kinds) != 1:
             raise TypeError("triple entries must be all Surd or all float, not mixed")
         if kinds == {True}:
-            pqr = _exact_product(self.p, self.q, self.r)
-            if pqr is None:
+            pqr, rad = _exact_product(self.p, self.q, self.r)
+            if pqr and rad != 1:
+                sign = "-" if pqr < 0 else ""
+                mag = "" if abs(pqr) == 1 else f"{abs(pqr)}*"
                 raise NotInShat(
-                    f"pqr = {self.p * self.q * self.r} is not an integer; "
+                    f"pqr = {sign}{mag}sqrt({rad}) is not an integer; "
                     f"({self.p}, {self.q}, {self.r}) has no integer lift"
                 )
             object.__setattr__(self, "pqr", pqr)
@@ -320,6 +325,38 @@ def gamma_tuple(t: SixTuple, k: int) -> SixTuple:
     raise ValueError(f"gamma index must be 1, 2 or 3, got {k}")
 
 
+# -- exact triples in plain integers -----------------------------------
+#
+# Entry i of an exact triple is ks[i] * sqrt(ds[i]), with a signed
+# coefficient ks[i] and a squarefree radicand ds[i], and t = pqr.
+
+
+def _coefficients(s: TripleS) -> tuple[list[int], list[int]]:
+    return [e.sign * e.coeff for e in s.entries()], [e.radicand for e in s.entries()]
+
+
+def _from_coefficients(ks: Sequence[int], ds: Sequence[int]) -> TripleS:
+    return TripleS(
+        *(Surd(1 if k > 0 else -1, abs(k), d) if k else Surd.zero() for k, d in zip(ks, ds))
+    )
+
+
+def _gamma_step(ks: list[int], ds: Sequence[int], t: int, i: int) -> int:
+    """gamma on nonzero entry i, in place; returns the new product.
+
+    The product of the other two entries is t / (ks[i] sqrt(ds[i])), which
+    is (t // (ks[i] ds[i])) sqrt(ds[i]) by an exact division, so the new
+    entry keeps radicand ds[i]. The new product is the product of the
+    other two squares minus t. Only the new coefficient is held to 64 bits.
+    """
+    k = ks[i]
+    new = t // (k * ds[i]) - k
+    ensure_int64(abs(new), "surd coefficient")
+    ks[i] = new
+    a, b = ks[i - 2], ks[i - 1]
+    return a * a * ds[i - 2] * b * b * ds[i - 1] - t
+
+
 def mutate(b: MatM, k: int) -> MatM:
     """The mutation mu_k, defined for cyclic and acyclic inputs alike."""
     return MatM(*mutate_tuple(b.entries(), k))
@@ -332,14 +369,17 @@ def gamma_m(m: MatM, k: int) -> MatM:
 
 def gamma_s(s: TripleS, k: int) -> TripleS:
     """gamma_k on a triple: one entry is replaced by (product of the others) - itself."""
-    p, q, r = s.entries()
-    if k == 1:
-        return TripleS(q * r - p, q, r)
-    if k == 2:
-        return TripleS(p, r * p - q, r)
-    if k == 3:
-        return TripleS(p, q, p * q - r)
-    raise ValueError(f"gamma index must be 1, 2 or 3, got {k}")
+    if k not in (1, 2, 3):
+        raise ValueError(f"gamma index must be 1, 2 or 3, got {k}")
+    i = k - 1
+    entries = list(s.entries())
+    if s.backend == "exact" and entries[i].sign:
+        ks, ds = _coefficients(s)
+        _gamma_step(ks, ds, s.pqr, i)
+        return _from_coefficients(ks, ds)
+    # Floats, and an exact zero entry, which takes the others' radicand.
+    entries[i] = entries[i - 2] * entries[i - 1] - entries[i]
+    return TripleS(*entries)
 
 
 def sk(m: MatM) -> TripleS:

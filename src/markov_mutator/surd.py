@@ -2,10 +2,12 @@
 
 The radicand is kept squarefree and zero is stored canonically as
 (0, 0, 1), so structural equality of the dataclass is equality of the
-represented reals. Only the operations the triple arithmetic actually
-needs are provided: multiplication, same-radicand subtraction, squaring
-and exact comparison. General sums of surds with distinct radicands are
-deliberately unsupported.
+represented reals. Only the operations the package needs are provided:
+multiplication, same-radicand subtraction, squaring and exact comparison.
+Multiplication and subtraction serve chebyshev_u and the alternating
+1,2-orbit; the triple descent and gamma_s on a nonzero entry work on the
+coefficients in plain integers (matrices._gamma_step) instead. General
+sums of surds with distinct radicands are deliberately unsupported.
 """
 
 from __future__ import annotations

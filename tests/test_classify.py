@@ -261,6 +261,9 @@ def test_ab_class_float_shapes():
 def test_ab_class_rejects_non_cluster_positive():
     with pytest.raises(DomainError):
         ab_class(TripleS.approx(1.0, 1.0, 1.0))  # M3 immediately
+    # one step reaches a zero entry, which is M3
+    with pytest.raises(DomainError, match=r"^triple 0, 3, 2 is M3;"):
+        ab_class(TripleS.parse("6, 3, 2"))
 
 
 def test_ab_class_iteration_cap():
@@ -269,6 +272,63 @@ def test_ab_class_iteration_cap():
     with pytest.raises(IterationCapExceeded) as exc:
         ab_class(TripleS.approx(p, q, r), cap=2)
     assert exc.value.last is not None
+    with pytest.raises(IterationCapExceeded) as exc:
+        ab_class(TripleS.parse("6, 15, 3"), cap=1)
+    assert exc.value.last == TripleS.parse("6, 3, 3")
+
+
+def surd_flags(s):
+    """Non-decreasing directions from Surd products, as in the former exact test."""
+    p, q, r = s.entries()
+    return [not (b * c < a * 2) for a, b, c in ((p, q, r), (q, r, p), (r, p, q))]
+
+
+def surd_gamma(s, k):
+    """The former exact gamma_s: the product of the other two entries, minus the entry."""
+    p, q, r = s.entries()
+    if k == 1:
+        return TripleS.exact(q * r - p, q, r)
+    if k == 2:
+        return TripleS.exact(p, r * p - q, r)
+    return TripleS.exact(p, q, p * q - r)
+
+
+def surd_descent(s):
+    """The reference descent: ('A', word, M1 minimum) or ('M3', word, the M3 triple reached)."""
+    word = []
+    while True:
+        flags = surd_flags(s)
+        if all(flags):
+            return "A", word, s
+        if sum(flags) < 2:
+            return "M3", word, s
+        word.append(flags.index(False) + 1)
+        s = surd_gamma(s, word[-1])
+
+
+@given(shat_triples(), st.lists(st.sampled_from([1, 2, 3]), max_size=40))
+def test_exact_descent_matches_surd_reference(s, letters):
+    """ab_class agrees with the Surd-arithmetic descent on triples climbed by increasing words.
+
+    The climb stops where a Surd product of two entries would leave 64 bits,
+    the reference's own limit; the descent only shrinks entries from there.
+    """
+    for k in letters:
+        try:
+            up = surd_gamma(s, k)
+            surd_flags(up)
+        except OverflowLimitError:
+            break
+        if up.entries()[k - 1] > s.entries()[k - 1]:
+            s = up
+    kind, word, end = surd_descent(s)
+    if kind == "A":
+        out = ab_class(s)
+        assert (list(out.path), out.representative) == (word, end)
+    else:
+        with pytest.raises(DomainError) as exc:
+            ab_class(s)
+        assert str(exc.value) == f"triple {end} is M3; the input was not cluster-positive"
 
 
 def test_ab_class_cancellation():

@@ -93,6 +93,30 @@ def test_classify_triple_whose_product_exceeds_64_bits(capsys):
     assert payload["ab"]["kind"] == "A" and payload["ab"]["path"] == []
 
 
+def test_classify_triple_whose_gamma_product_exceeds_64_bits(capsys):
+    code, out, err = invoke(capsys, "classify", "9223372033963249500, 3037000500, 3037000500")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert "class: M2" in lines
+    assert "case: A after 1 descent steps" in lines
+    assert "representative: 3037000500, 3037000500, 3037000500" in lines
+    assert "path: 1" in lines
+
+
+def test_classify_non_integer_product_is_domain_error(capsys):
+    code, out, err = invoke(capsys, "classify", "3, 3, 3*sqrt(2)")
+    assert code == 1
+    assert err == (
+        "error: pqr = 27*sqrt(2) is not an integer; (3, 3, 3*sqrt(2)) has no integer lift\n"
+    )
+    # the product is past 64 bits, but only its rendering needs it
+    wide = "3000000000, 3000000000, 3000000000*sqrt(2)"
+    for command in ("classify", "lift"):
+        code, out, err = invoke(capsys, command, wide)
+        assert code == 1
+        assert err.startswith("error: pqr = 27000000000000000000000000000*sqrt(2) is not")
+
+
 def test_classify_float_triple(capsys):
     payload = invoke_json(capsys, "classify", "3.5, 3.5, 2.0")
     assert payload["backend"] == "float"

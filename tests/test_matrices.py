@@ -237,6 +237,18 @@ def test_gamma_s_and_markov_s():
     assert markov_c_s(TripleS.approx(2.0, 2.0, 2.0)) == pytest.approx(4.0)
 
 
+def test_gamma_s_width():
+    """The new entry comes from the stored pqr: only what is stored is held to 64 bits."""
+    base = TripleS.parse("3037000500, 3037000500, 3037000500")
+    up = gamma_s(base, 1)  # the other two entries multiply to 3037000500^2 > 2^63
+    assert str(up) == "9223372033963249500, 3037000500, 3037000500"
+    assert gamma_s(up, 1) == base
+    with pytest.raises(OverflowLimitError):
+        gamma_s(up, 2)  # the new entry itself leaves 64 bits
+    # a zero entry takes the radicand of the other two
+    assert str(gamma_s(TripleS.parse("0, 2*sqrt(3), sqrt(3)"), 1)) == "6, 2*sqrt(3), sqrt(3)"
+
+
 @given(valid_mats(), st.sampled_from([1, 2, 3]))
 def test_gamma_commutes_with_sk_on_positive(m, k):
     if m.is_positive():
