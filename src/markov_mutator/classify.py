@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (
     DomainError,
@@ -30,13 +30,13 @@ from .matrices import (
     MutationPath,
     TripleS,
     _coefficients,
+    _exact_directions,
     _from_coefficients,
     _gamma_step,
     gamma_s,
     markov_c_m,
     markov_c_m_abs,
     markov_c_s,
-    sk,
 )
 from .surd import Surd
 
@@ -73,6 +73,10 @@ class MkClass(Enum):
     M1 = "M1"
     M2 = "M2"
     M3 = "M3"
+
+
+# The class of a triple, indexed by its number of non-decreasing directions.
+_CLASS_BY_COUNT = (MkClass.M3, MkClass.M3, MkClass.M2, MkClass.M1)
 
 
 class ABKind(Enum):
@@ -156,28 +160,10 @@ def is_cluster_cyclic(m: MatM) -> tuple[bool, CyclicityCertificate]:
 # -- M1 / M2 / M3 ------------------------------------------------------
 
 
-def _exact_directions(ks: Sequence[int], ds: Sequence[int], t: int) -> list[bool]:
-    """_non_decreasing_directions in plain integers.
-
-    Entry i is ks[i] * sqrt(ds[i]) and t = pqr, as in matrices._gamma_step.
-    For s_i != 0 the product of the others is t / s_i, so s_i <= gamma_i(s)
-    is sign(s_i) (t - 2 s_i^2) >= 0; for s_i = 0 it is the sign of that product.
-    """
-    flags = []
-    for i in (0, 1, 2):
-        k = ks[i]
-        if k:
-            twice = 2 * k * k * ds[i]
-            flags.append(t >= twice if k > 0 else t <= twice)
-        else:
-            flags.append(ks[i - 1] * ks[i - 2] >= 0)
-    return flags
-
-
 def _non_decreasing_directions(s: TripleS, rel_eps: float = 0.0) -> list[bool]:
     """For each index i: is s <= gamma_i(s), i.e. 2 s_i <= product of the others?
 
-    The exact backend decides in plain integers (_exact_directions). The
+    The exact backend decides in plain integers (matrices._exact_directions). The
     float backend accepts a relative epsilon so that noise-level
     differences count as non-decreasing.
     """
@@ -197,25 +183,16 @@ def mk_class(s: TripleS, rel_eps: float = 0.0) -> MkClass:
     Total in the entry signs: a triple with a non-positive entry counts
     at most one non-decreasing direction and lands in M3.
     """
-    count = sum(_non_decreasing_directions(s, rel_eps))
-    if count == 3:
-        return MkClass.M1
-    if count == 2:
-        return MkClass.M2
-    return MkClass.M3
+    return _CLASS_BY_COUNT[sum(_non_decreasing_directions(s, rel_eps))]
 
 
 def mk_class_matm(m: MatM) -> MkClass:
-    """The class of a positive matrix by integer comparisons of xyz with 2xx', 2yy', 2zz'."""
+    """The class of a positive matrix: that of sk(m), whose squares are xx', yy', zz'
+    and whose product is xyz."""
     if not m.is_positive():
         raise DomainError("mk_class_matm requires a positive matrix")
-    xyz = m.x * m.y * m.z
-    count = sum(xyz >= 2 * a * b for a, b in m.columns())
-    if count == 3:
-        return MkClass.M1
-    if count == 2:
-        return MkClass.M2
-    return MkClass.M3
+    squares = [a * b for a, b in m.columns()]
+    return _CLASS_BY_COUNT[sum(_exact_directions((1, 1, 1), squares, m.x * m.y * m.z))]
 
 
 def descent_step(s: TripleS, rel_eps: float = 0.0) -> Optional[tuple[int, TripleS]]:

@@ -49,13 +49,6 @@ _EPILOG = (
 )
 
 
-def _parse_matrix(text: str) -> MatM:
-    try:
-        return MatM.parse(text)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
-
-
 def _parse_triple(text: str) -> TripleS:
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != 3:
@@ -65,10 +58,7 @@ def _parse_triple(text: str) -> TripleS:
             return TripleS.approx(*(float(t) for t in parts))
         except ValueError as exc:
             raise DomainError(f"cannot parse float triple {text!r}") from exc
-    try:
-        return TripleS.parse(text)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    return TripleS.parse(text)
 
 
 def _parse_scalar(text: str) -> Union[Surd, float]:
@@ -152,14 +142,14 @@ def _cmd_classify(args) -> int:
     text = args.input.strip()
     if not text.startswith("[") and "," in text:
         return _classify_triple(args, _parse_triple(text))
-    return _classify_matrix(args, _parse_matrix(text))
+    return _classify_matrix(args, MatM.parse(text))
 
 
 # -- orbit machinery ---------------------------------------------------
 
 
 def _cmd_reduce(args) -> int:
-    report = reduce_to_fundamental(_parse_matrix(args.matrix))
+    report = reduce_to_fundamental(MatM.parse(args.matrix))
     payload = report.to_json()
     lines = [
         f"representative: {report.representative}",
@@ -171,7 +161,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    result = orbit_bfs(_parse_matrix(args.matrix), depth=args.depth, entry_bound=args.entry_bound)
+    result = orbit_bfs(MatM.parse(args.matrix), depth=args.depth, entry_bound=args.entry_bound)
     payload = result.to_json()
     lines = [f"count: {len(result.members)}", f"pruned: {result.pruned}"]
     lines.extend(payload["members"])
@@ -179,10 +169,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    try:
-        s = TripleS.parse(args.triple)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    s = TripleS.parse(args.triple)
     m = lift_to_matm(s)
     return _emit(args, {"triple": str(s), "lift": str(m)}, [str(m)])
 
@@ -372,15 +359,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -101,8 +101,9 @@ class M1Representative:
                 f"markov constant of squares {self.squares} is {a + b + c - t}, "
                 f"not {self.markov}"
             )
-        expect = tuple(surd_from_integer_square(v) for v in self.squares)
-        if tuple(self.triple.entries()) != expect:
+        if self.triple.backend != "exact" or any(
+            e.sign <= 0 or e.square() != v for e, v in zip(self.triple.entries(), self.squares)
+        ):
             raise DomainError(f"triple ({self.triple}) does not match squares {self.squares}")
 
     @classmethod

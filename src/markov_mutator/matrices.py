@@ -107,7 +107,7 @@ class MatM:
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[int]]) -> MatM:
         """Build from a row-major 3x3 matrix, validating skew-symmetrizability."""
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        if len(rows) != 3 or any(not isinstance(r, (list, tuple)) or len(r) != 3 for r in rows):
             raise ValueError("expected a 3x3 matrix")
         b = []
         for r in rows:
@@ -341,6 +341,26 @@ def _from_coefficients(ks: Sequence[int], ds: Sequence[int]) -> TripleS:
     )
 
 
+def _exact_directions(ks: Sequence[int], ds: Sequence[int], t: int) -> list[bool]:
+    """For each entry i: is s_i <= gamma_i(s), i.e. 2 s_i <= the product of the others?
+
+    Entry i is ks[i] * sqrt(ds[i]) and t = pqr. Only ks[i]**2 * ds[i] and the
+    sign of ks[i] are read, so ds need not be squarefree: a positive matrix
+    is ks = (1, 1, 1), ds = (xx', yy', zz'), t = xyz. For s_i != 0 the product
+    of the others is t / s_i, so the test is sign(s_i) (t - 2 s_i^2) >= 0;
+    for s_i = 0 it is the sign of that product.
+    """
+    flags = []
+    for i in (0, 1, 2):
+        k = ks[i]
+        if k:
+            twice = 2 * k * k * ds[i]
+            flags.append(t >= twice if k > 0 else t <= twice)
+        else:
+            flags.append(ks[i - 1] * ks[i - 2] >= 0)
+    return flags
+
+
 def _gamma_step(ks: list[int], ds: Sequence[int], t: int, i: int) -> int:
     """gamma on nonzero entry i, in place; returns the new product.
 
@@ -383,10 +403,14 @@ def gamma_s(s: TripleS, k: int) -> TripleS:
 
 
 def sk(m: MatM) -> TripleS:
-    """The double-sided skew-symmetrization: entry signs times sqrt of column products."""
+    """The double-sided skew-symmetrization: entry signs times sqrt of column products.
+
+    sqrt(aa') is taken as sqrt(|a|) * sqrt(|a'|), so square roots are only
+    split from 64-bit entries, never from their product.
+    """
     entries = []
     for a, b in m.columns():
-        root = surd_from_integer_square(a * b)
+        root = surd_from_integer_square(abs(a)) * surd_from_integer_square(abs(b))
         entries.append(root if a >= 0 else -root)
     return TripleS(*entries)
 

@@ -5,8 +5,8 @@ from triples with integer squares back to integer matrices.
 The fundamental domain consists of the positive integer tuples with
 xyz >= 2xx', 2yy', 2zz'. Every cluster-cyclic gamma-orbit meets it in
 exactly one point, the entrywise minimum of the orbit, and greedy
-descent (apply any strictly column-decreasing gamma until none is left)
-reaches it.
+descent (apply the smallest strictly column-decreasing gamma until none
+is left) reaches it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import (
     DomainError,
     NotClusterCyclic,
     NotInShat,
-    OverflowLimitError,
 )
 from .classify import cyclicity, is_cluster_cyclic
 from .matrices import (
@@ -30,6 +29,7 @@ from .matrices import (
     MutationPath,
     SixTuple,
     TripleS,
+    _exact_directions,
     gamma_tuple,
     mutate_tuple,
     permute,
@@ -90,19 +90,13 @@ class OrbitBfsResult:
         }
 
 
-def _in_fundamental_domain(t: SixTuple) -> bool:
-    x, y, z, xp, yp, zp = t
-    xyz = x * y * z
-    return xyz >= 2 * x * xp and xyz >= 2 * y * yp and xyz >= 2 * z * zp
-
-
 def reduce_to_fundamental(m: MatM) -> OrbitReport:
     """Greedy descent of a positive cluster-cyclic matrix to its orbit minimum.
 
     While some gamma_i strictly decreases column i (equivalently
     xyz < 2 a_i a_i'), apply the smallest such i. The endpoint is the
-    unique M1 element of the orbit and satisfies the fundamental-domain
-    inequalities, which are checked before certifying.
+    unique M1 element of the orbit: the fundamental-domain inequalities,
+    which are the flags that end the loop, hold there.
     """
     if cyclicity(m) is not CyclicityClass.POSITIVE_CYCLIC:
         raise NotClusterCyclic(f"{m} is not positive-cyclic")
@@ -111,26 +105,19 @@ def reduce_to_fundamental(m: MatM) -> OrbitReport:
         raise NotClusterCyclic(f"{m} is not cluster-cyclic ({cert.violated})")
     cur = m.entries()
     word: list[int] = []
-    explored = 1
     while True:
         x, y, z, xp, yp, zp = cur
-        xyz = x * y * z
-        step = None
-        for i, prod in enumerate((x * xp, y * yp, z * zp), start=1):
-            if xyz < 2 * prod:
-                step = i
-                break
-        if step is None:
+        flags = _exact_directions((1, 1, 1), (x * xp, y * yp, z * zp), x * y * z)
+        if all(flags):
             break
+        step = flags.index(False) + 1
         cur = gamma_tuple(cur, step)
         word.append(step)
-        explored += 1
-    representative = MatM(*cur)
     return OrbitReport(
-        representative=representative,
+        representative=MatM(*cur),
         path=MutationPath(tuple(reversed(word))),
-        explored=explored,
-        is_minimal_certified=_in_fundamental_domain(cur),
+        explored=len(word) + 1,
+        is_minimal_certified=all(flags),
     )
 
 

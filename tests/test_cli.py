@@ -137,6 +137,11 @@ def test_classify_bad_matrix_is_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_classify_json_matrix_with_non_list_rows_is_domain_error(capsys):
+    for text in ("[1,2,3]", "[[0,1,2],[3,4,5],7]"):
+        assert invoke(capsys, "classify", text) == (1, "", "error: expected a 3x3 matrix\n")
+
+
 # reduce
 
 

@@ -14,7 +14,7 @@ from markov_mutator.enumeration import (
     surjectivity_witness_alt,
 )
 from markov_mutator.errors import DomainError
-from markov_mutator.matrices import markov_c_s
+from markov_mutator.matrices import TripleS, markov_c_s
 from markov_mutator.orbits import lift_to_matm, reduce_to_fundamental
 
 # bound_r
@@ -63,6 +63,14 @@ def test_representative_rejects_bad_data():
         M1Representative.from_squares(25, 4, 4, 13)  # sqrt(abc) = 20 < 2a = 50
     with pytest.raises(DomainError):
         M1Representative.from_squares(9, 9, 9, 1)  # constant is 0, not 1
+
+
+def test_representative_rejects_triple_that_does_not_match_squares():
+    for triple in ("3, 3, 2", "3, -3, -3"):
+        with pytest.raises(DomainError):
+            M1Representative(TripleS.parse(triple), (9, 9, 9), 0)
+    with pytest.raises(DomainError):
+        M1Representative(TripleS.approx(3.0, 3.0, 3.0), (9, 9, 9), 0)
 
 
 def test_representative_json():

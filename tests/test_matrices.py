@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import markov_mutator
 from markov_mutator.errors import (
     NotInShat,
     OverflowLimitError,
@@ -176,6 +181,21 @@ def test_sk_examples():
     )
     assert str(sk(MatM(5, 10, 1, 5, 2, 5))) == "5, 2*sqrt(5), sqrt(5)"
     assert str(sk(MatM(-4, -1, -2, -1, -4, -2))) == "-2, -2, -2"
+
+
+def test_sk_of_wide_columns_answers_within_deadline():
+    # yy' = 3^3 * 541^2 * 179041139350883^2 is a 118-bit product: trial
+    # division of it runs past the deadline, its two 64-bit factors do not
+    code = (
+        "from markov_mutator.matrices import MatM, sk; print(sk(MatM("
+        "125442, 290583769166483109, 6949437250145, 209070, 871751307499449327, 1389887450029)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(markov_mutator.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "41814*sqrt(15), 290583769166483109*sqrt(3), 1389887450029*sqrt(5)\n"
 
 
 @given(valid_mats())

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from markov_mutator.classify import (
+    ab_class,
     cyclicity,
     integer_fixed_points,
     is_cluster_cyclic,
     is_fixed_point,
 )
+from markov_mutator.enumeration import enumerate_m1
 from markov_mutator.errors import (
     INT64_MAX,
     DomainError,
@@ -139,6 +141,26 @@ def test_reduce_canonical_across_translates(seed, word):
     moved = reduce_to_fundamental(translate)
     assert moved.representative == base.representative
     assert apply_gamma_word(moved.representative, list(moved.path)) == translate
+
+
+M1_LIFTS = [
+    lift_to_matm(rep.triple)
+    for reps in [enumerate_m1(c) for c in range(-20, 4)] + [enumerate_m1(4, p_square_cap=16)]
+    for rep in reps
+]
+
+
+@given(st.sampled_from(M1_LIFTS), words)
+def test_matrix_and_triple_descents_agree(base, word):
+    """reduce_to_fundamental on m and ab_class on sk(m) take the same steps to the same minimum."""
+    try:
+        m = apply_gamma_word(base, word)
+    except OverflowLimitError:
+        assume(False)
+    report = reduce_to_fundamental(m)
+    outcome = ab_class(sk(m))
+    assert report.path.reversed() == outcome.path
+    assert sk(report.representative) == outcome.representative
 
 
 def test_representative_entrywise_minimal_in_bfs():
