@@ -31,8 +31,6 @@ from .classify import (
 )
 from .enumeration import (
     M1Representative,
-    RBound,
-    bound_r,
     enumerate_m1,
     surjectivity_witness,
     surjectivity_witness_alt,
@@ -45,7 +43,6 @@ from .errors import (
     MarkovMutatorError,
     NotClusterCyclic,
     NotInShat,
-    OperationCancelled,
     OverflowLimitError,
     ProductMismatch,
     RadicandMismatch,
@@ -96,12 +93,10 @@ __all__ = [
     "MutationPath",
     "NotClusterCyclic",
     "NotInShat",
-    "OperationCancelled",
     "OrbitBfsResult",
     "OrbitReport",
     "OverflowLimitError",
     "ProductMismatch",
-    "RBound",
     "RadicandMismatch",
     "ResourceError",
     "SearchBudgetExceeded",
@@ -112,7 +107,6 @@ __all__ = [
     "ValidationError",
     "ab_class",
     "analyze_12_sequence",
-    "bound_r",
     "chebyshev_u",
     "cyclicity",
     "descent_step",

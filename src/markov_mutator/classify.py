@@ -21,7 +21,6 @@ from typing import Optional, Union
 from .errors import (
     DomainError,
     IterationCapExceeded,
-    OperationCancelled,
     SearchBudgetExceeded,
 )
 from .matrices import (
@@ -208,12 +207,6 @@ def descent_step(s: TripleS, rel_eps: float = 0.0) -> Optional[tuple[int, Triple
     return None
 
 
-def _check_cancel(cancel, where: str) -> None:
-    """Raise if a cooperative cancellation token (threading.Event-like) is set."""
-    if cancel is not None and cancel.is_set():
-        raise OperationCancelled(f"{where} was cancelled")
-
-
 def is_cluster_positive(s: TripleS) -> bool:
     """Entries >= 2 and Markov constant <= 4: the precondition of ab_class's descent.
 
@@ -224,7 +217,7 @@ def is_cluster_positive(s: TripleS) -> bool:
     return all(e >= 2.0 - 1e-9 for e in s.entries()) and markov_c_s(s) <= 4.0 + 1e-9
 
 
-def ab_class(s: TripleS, cap: int = DESCENT_CAP, cancel=None) -> ABClass:
+def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     """Descend a cluster-positive triple to its class A minimum or class B limit.
 
     Exact backend: repeatedly apply the unique strictly-decreasing gamma
@@ -241,11 +234,10 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP, cancel=None) -> ABClass:
     if not s.is_positive():
         raise DomainError("ab_class requires a positive triple")
     if s.backend == "exact":
-        return _ab_class_exact(s, cap, cancel)
+        return _ab_class_exact(s, cap)
     cur = s
     word: list[int] = []
     for iterations in itertools.count():
-        _check_cancel(cancel, "ab_class descent")
         dist = max(abs(e - 2.0) for e in cur.entries())
         if dist < CONVERGENCE_TOL:
             return ABClass(ABKind.B, MutationPath(tuple(word)), iterations, limit=(2.0, 2.0, 2.0))
@@ -275,7 +267,7 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP, cancel=None) -> ABClass:
     raise AssertionError("unreachable")
 
 
-def _ab_class_exact(s: TripleS, cap: int, cancel) -> ABClass:
+def _ab_class_exact(s: TripleS, cap: int) -> ABClass:
     """ab_class on a positive exact triple, stepping in plain integers.
 
     The radicands never change: gamma keeps a nonzero entry's radicand,
@@ -286,7 +278,6 @@ def _ab_class_exact(s: TripleS, cap: int, cancel) -> ABClass:
     t = s.pqr
     word: list[int] = []
     for iterations in itertools.count():
-        _check_cancel(cancel, "ab_class descent")
         flags = _exact_directions(ks, ds, t)
         count = sum(flags)
         if count == 3:
@@ -396,7 +387,7 @@ def one_two_orbit(s: TripleS, n: int) -> list[TripleS]:
 
 
 def find_negative_in_12_orbit(
-    s: TripleS, cap: int = NEGATIVE_SEARCH_CAP, cancel=None
+    s: TripleS, cap: int = NEGATIVE_SEARCH_CAP
 ) -> tuple[int, Union[Surd, float]]:
     """Smallest n >= 1 with f_n(s) < 0, for a positive triple with r < 2.
 
@@ -411,7 +402,6 @@ def find_negative_in_12_orbit(
         raise DomainError(f"requires r < 2, got r = {r}")
     negative = (lambda v: v.sign < 0) if s.backend == "exact" else (lambda v: v < 0.0)
     for n, value in _f_pairs(s):
-        _check_cancel(cancel, "negative-entry search")
         if n >= 1 and negative(value):
             return n, value
         if n >= cap:

@@ -9,10 +9,27 @@ with a >= b >= c, so each condition is pure integer arithmetic:
     a + b + c - sqrt(abc) = C   (the Markov constant)
     sqrt(abc) >= 2a             (descent-minimal, M1, in ordered form)
 
-For C < 4 the grid is finite: c <= ceil(R^2) where R is the unique
-root > 2 of 3R^2 - R^3 = C, and a <= floor(c(c - C)/(c - 4)). For
-C = 4 the solutions form the infinite family (p, p, 2), so a cap on
-p^2 is mandatory.
+For C < 4 the search is finite. Fix b >= c; with s = sqrt(a) the
+constant is the quadratic s^2 - sqrt(bc) s + (b + c - C) = 0, whose two
+roots are a gamma pair, and sqrt(abc) >= 2a picks the smaller one:
+
+    a = (bc + D - 2 sqrt(bcD)) / 4,   D = bc - 4(b + c - C),
+
+and a and sqrt(abc) = (bc - sqrt(bcD)) / 2 are integers exactly when bcD
+is a perfect square (D = bc mod 4, so sqrt(bcD) has the parity of bc).
+Each (b, c) thus gives at most one candidate, found with isqrt. The
+loops run over integer bounds only. The smallest square c runs from 5
+(bc >= 4a >= 4b forces c >= 4, and c = 4 forces C >= 4) while
+
+    c^3 <= (3c - C)^2              (a, b >= c give C <= 3c - c^(3/2)),
+
+and for each c, with K = c - C, the square b >= c is bounded by
+
+    b >= 4K / (c - 4)              (D >= 0: the roots are real)
+    b <= K (2 + sqrt(c)) / (c - 4) (the smaller root is at least b),
+
+so the cost grows as about |C|^(4/3). For C = 4 the solutions form the
+infinite family (p, p, 2), so a cap on p^2 is mandatory.
 """
 
 from __future__ import annotations
@@ -26,57 +43,10 @@ from .surd import surd_from_integer_square
 
 __all__ = [
     "M1Representative",
-    "RBound",
-    "bound_r",
     "enumerate_m1",
     "surjectivity_witness",
     "surjectivity_witness_alt",
 ]
-
-_SNAP = 1e-9
-
-
-@dataclass(frozen=True)
-class RBound:
-    """Root R > 2 of 3R^2 - R^3 = C and the grid ceiling for r^2."""
-
-    r: float
-    r_squared_ceiling: int
-
-    def to_json(self) -> dict:
-        return {"r": self.r, "r_squared_ceiling": self.r_squared_ceiling}
-
-
-def bound_r(c_target: int) -> RBound:
-    """The unique R >= 2 with 3R^2 - R^3 = c_target, for c_target <= 4.
-
-    3R^2 - R^3 decreases strictly on [2, oo) from 4, so the root exists
-    and bisection converges; values within 1e-9 of an integer snap to
-    it (C = 0 gives exactly 3).
-    """
-    if c_target > 4:
-        raise DomainError(f"no root R >= 2 exists for markov constant {c_target}")
-    if c_target == 4:
-        return RBound(r=2.0, r_squared_ceiling=4)
-
-    def g(t: float) -> float:
-        return 3 * t * t - t * t * t
-
-    lo, hi = 2.0, 3.0
-    while g(hi) > c_target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if mid == lo or mid == hi:
-            break
-        if g(mid) > c_target:
-            lo = mid
-        else:
-            hi = mid
-    r = (lo + hi) / 2
-    if abs(r - round(r)) <= _SNAP:
-        r = float(round(r))
-    return RBound(r=r, r_squared_ceiling=math.ceil(r * r - _SNAP))
 
 
 @dataclass(frozen=True)
@@ -126,23 +96,25 @@ class M1Representative:
         }
 
 
-def _scan_c(c: int, c_target: int, a_cap: int | None) -> list[tuple[int, int, int]]:
-    """All ordered square triples with smallest square c; pure integers."""
+def _vieta_squares(c_target: int, a_cap: int | None) -> list[tuple[int, int, int]]:
+    """The ordered M1 square triples with constant c_target < 4, sorted on (c, b, a)."""
     found = []
-    a_hi = c * (c - c_target) // (c - 4)
-    if a_cap is not None:
-        a_hi = min(a_hi, a_cap)
-    for b in range(c, a_hi + 1):
-        for a in range(b, a_hi + 1):
-            abc = a * b * c
-            t = math.isqrt(abc)
-            if t * t != abc:
-                continue
-            if a + b + c - t != c_target:
-                continue
-            if t < 2 * a:
-                continue
-            found.append((a, b, c))
+    c = 5
+    while c**3 <= (3 * c - c_target) ** 2:
+        k = c - c_target
+        b_lo = max(c, -(-4 * k // (c - 4)))
+        b_hi = (2 * k + math.isqrt(k * k * c)) // (c - 4)
+        if a_cap is not None:
+            b_hi = min(b_hi, a_cap)
+        for b in range(b_lo, b_hi + 1):
+            bc = b * c
+            d = bc - 4 * (b + k)
+            m = math.isqrt(bc * d)
+            if m * m == bc * d:
+                a = (bc + d - 2 * m) // 4
+                if a_cap is None or a <= a_cap:
+                    found.append((a, b, c))
+        c += 1
     return found
 
 
@@ -153,7 +125,9 @@ def enumerate_m1(c_target: int, p_square_cap: int | None = None) -> list[M1Repre
     sorted lexicographically on (c, b, a). For c_target = 4 the family
     (p, p, 2) is infinite, so p_square_cap is mandatory there; for
     c_target < 4 the search space is intrinsically finite and the cap,
-    if given, just truncates.
+    if given, just truncates. Each (b, c) pair inside the integer bounds
+    of the module docstring yields at most one candidate, the smaller
+    Vieta root; the cost grows as about |c_target|^(4/3).
     """
     if c_target > 4:
         raise DomainError(f"no descent-minimal triples exist with constant {c_target} > 4")
@@ -164,9 +138,7 @@ def enumerate_m1(c_target: int, p_square_cap: int | None = None) -> list[M1Repre
             )
         squares = [(a, a, 4) for a in range(4, p_square_cap + 1)]
     else:
-        ceiling = bound_r(c_target).r_squared_ceiling
-        squares = [t for c in range(5, ceiling + 1) for t in _scan_c(c, c_target, p_square_cap)]
-    squares.sort(key=lambda t: (t[2], t[1], t[0]))
+        squares = _vieta_squares(c_target, p_square_cap)
     return [M1Representative.from_squares(a, b, c, c_target) for a, b, c in squares]
 
 

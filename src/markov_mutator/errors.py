@@ -15,7 +15,6 @@ __all__ = [
     "MarkovMutatorError",
     "NotClusterCyclic",
     "NotInShat",
-    "OperationCancelled",
     "OverflowLimitError",
     "ProductMismatch",
     "RadicandMismatch",
@@ -88,10 +87,6 @@ class IterationCapExceeded(ResourceError):
 
 class SearchBudgetExceeded(ResourceError):
     """A search exhausted its budget without finding what a theorem promises."""
-
-
-class OperationCancelled(ResourceError):
-    """A cooperative cancellation token was set mid-search."""
 
 
 def ensure_int64(value: int, context: str = "entry") -> int:

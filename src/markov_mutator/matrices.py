@@ -133,7 +133,11 @@ class MatM:
         """Parse either 'x y z / x' y' z'' or a row-major 3x3 JSON matrix."""
         stripped = text.strip()
         if stripped.startswith("["):
-            return cls.from_matrix(json.loads(stripped))
+            try:
+                rows = json.loads(stripped)
+            except RecursionError as exc:
+                raise ValueError("matrix JSON nests too deeply") from exc
+            return cls.from_matrix(rows)
         parts = stripped.split("/")
         if len(parts) != 2:
             raise ValueError(f"expected 'x y z / x' y' z'', got {text!r}")

@@ -1,5 +1,4 @@
 import math
-import threading
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -26,7 +25,6 @@ from markov_mutator.errors import (
     INT64_MAX,
     DomainError,
     IterationCapExceeded,
-    OperationCancelled,
     OverflowLimitError,
     SearchBudgetExceeded,
 )
@@ -331,13 +329,6 @@ def test_exact_descent_matches_surd_reference(s, letters):
         assert str(exc.value) == f"triple {end} is M3; the input was not cluster-positive"
 
 
-def test_ab_class_cancellation():
-    token = threading.Event()
-    token.set()
-    with pytest.raises(OperationCancelled):
-        ab_class(TripleS.parse("6, 15, 3"), cancel=token)
-
-
 # -- fixed points ------------------------------------------------------
 
 
@@ -445,13 +436,6 @@ def test_find_negative_examples():
     # f_1 = r*q - p = 0 is not yet negative, so a cap of one step trips.
     with pytest.raises(SearchBudgetExceeded):
         find_negative_in_12_orbit(TripleS.approx(1.0, 1.0, 1.0), cap=1)
-
-
-def test_find_negative_cancellation():
-    token = threading.Event()
-    token.set()
-    with pytest.raises(OperationCancelled):
-        find_negative_in_12_orbit(TripleS.parse("1, 1, 1"), cancel=token)
 
 
 @given(

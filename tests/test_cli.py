@@ -142,6 +142,12 @@ def test_classify_json_matrix_with_non_list_rows_is_domain_error(capsys):
         assert invoke(capsys, "classify", text) == (1, "", "error: expected a 3x3 matrix\n")
 
 
+def test_classify_deeply_nested_json_is_domain_error(capsys):
+    expected = (1, "", "error: matrix JSON nests too deeply\n")
+    for depth in (1500, 10**5):
+        assert invoke(capsys, "classify", "[" * depth) == expected
+
+
 # reduce
 
 
@@ -327,6 +333,15 @@ def test_large_prime_radicand_answers_within_deadline():
     done = run_module("chebyshev", "1", "sqrt(2305843009213693951)", timeout=20)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "sqrt(2305843009213693951)\n"
+
+
+def test_enumerate_large_constant_answers_within_deadline():
+    done = run_module("enumerate", "--markov", "-10000", timeout=20)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].split() == ["p", "q", "r", "C"]
+    assert len(lines) == 83
+    assert all(line.split()[-1] == "-10000" for line in lines[1:])
 
 
 def test_help_mentions_default_caps(capsys):

@@ -1,4 +1,4 @@
-"""Exhaustive descent-minimal triple search and its grid bounds."""
+"""Exhaustive descent-minimal triple search and its integer bounds."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from markov_mutator.classify import MkClass, is_cluster_cyclic, mk_class
 from markov_mutator.enumeration import (
     M1Representative,
-    bound_r,
     enumerate_m1,
     surjectivity_witness,
     surjectivity_witness_alt,
@@ -16,40 +15,6 @@ from markov_mutator.enumeration import (
 from markov_mutator.errors import DomainError
 from markov_mutator.matrices import TripleS, markov_c_s
 from markov_mutator.orbits import lift_to_matm, reduce_to_fundamental
-
-# bound_r
-
-
-def test_bound_r_examples():
-    at_four = bound_r(4)
-    assert at_four.r == 2.0 and at_four.r_squared_ceiling == 4
-    at_zero = bound_r(0)
-    assert at_zero.r == 3.0 and at_zero.r_squared_ceiling == 9
-    at_minus_fifty = bound_r(-50)
-    assert at_minus_fifty.r == 5.0 and at_minus_fifty.r_squared_ceiling == 25
-    # C = 2 has the closed-form root 1 + sqrt(3)
-    at_two = bound_r(2)
-    assert at_two.r == pytest.approx(1 + math.sqrt(3), abs=1e-9)
-    assert at_two.r_squared_ceiling == 8
-
-
-def test_bound_r_rejects_above_four():
-    with pytest.raises(DomainError):
-        bound_r(5)
-
-
-@given(st.integers(-100, 4))
-def test_bound_r_residual_and_ceiling(c_target):
-    bound = bound_r(c_target)
-    r = bound.r
-    assert r >= 2.0
-    assert abs(3 * r * r - r * r * r - c_target) < 1e-9
-    assert bound.r_squared_ceiling == math.ceil(r * r - 1e-9)
-
-
-def test_bound_r_json():
-    assert bound_r(0).to_json() == {"r": 3.0, "r_squared_ceiling": 9}
-
 
 # M1Representative validation
 
@@ -145,6 +110,32 @@ def brute_force_squares(c_target, cap):
 def test_enumerate_complete_against_window_scan(c_target):
     got = {r.squares for r in enumerate_m1(c_target)}
     assert got == brute_force_squares(c_target, 60)
+
+
+def scan_squares(c_target, cap=None):
+    """Reference scan: for each c inside the cube bound, every (b, a) up to c(c - C)/(c - 4)."""
+    found = []
+    c = 5
+    while c**3 <= (3 * c - c_target) ** 2:
+        a_hi = c * (c - c_target) // (c - 4)
+        if cap is not None:
+            a_hi = min(a_hi, cap)
+        for b in range(c, a_hi + 1):
+            for a in range(b, a_hi + 1):
+                abc = a * b * c
+                t = math.isqrt(abc)
+                if t * t == abc and a + b + c - t == c_target and t >= 2 * a:
+                    found.append((a, b, c))
+        c += 1
+    return found
+
+
+@pytest.mark.parametrize("c_target", [*range(-60, 4), -100, -150, -200])
+def test_enumerate_matches_scan_over_a(c_target):
+    assert [r.squares for r in enumerate_m1(c_target)] == scan_squares(c_target)
+    for cap in (17, 50):
+        capped = enumerate_m1(c_target, p_square_cap=cap)
+        assert [r.squares for r in capped] == scan_squares(c_target, cap)
 
 
 @pytest.mark.parametrize("c_target", [-13, -5, -1, 0, 2, 3])

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used, and every name it exports is bound."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,16 @@ import pytest
 import markov_mutator
 
 MODULES = sorted(Path(markov_mutator.__file__).parent.glob("*.py"))
+
+
+def exported(source: str) -> list[str]:
+    """The names listed in a module's __all__, or [] if it has none."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def unused_imports(source: str) -> list[str]:
@@ -20,12 +31,7 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
-    return sorted(imported - used)
+    return sorted(imported - used - set(exported(source)))
 
 
 def test_unused_imports_finds_only_unread_names():
@@ -42,3 +48,23 @@ def test_unused_imports_finds_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_binds_every_export(path):
+    name = "markov_mutator" if path.stem == "__init__" else f"markov_mutator.{path.stem}"
+    module = importlib.import_module(name)
+    names = exported(path.read_text())
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(module, name)] == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse(Path(markov_mutator.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert set(markov_mutator.__all__) == imported
