@@ -66,6 +66,11 @@ FLOAT_CLASS_EPS = 1e-12
 NOISE_BASIN = 1e-6
 NOISE_STEP = 1e-8
 NEGATIVE_SEARCH_CAP = 1_000_000
+CHEBYSHEV_FLOAT_CAP = 1_000_000
+
+# Each r with r**2 <= 3 is 2 cos(2 pi j / P) for an integer j, so u_n(r) =
+# sin((n + 1) 2 pi j / P) / sin(2 pi j / P) has period P in n; keyed by r**2.
+_CHEBYSHEV_PERIODS = {0: 4, 1: 6, 2: 8, 3: 12}
 
 
 class MkClass(Enum):
@@ -213,7 +218,7 @@ def is_cluster_positive(s: TripleS) -> bool:
     The float backend allows 1e-9 of slack on both bounds.
     """
     if s.backend == "exact":
-        return all(e.sign > 0 and e.square() >= 4 for e in s.entries()) and markov_c_s(s) <= 4
+        return all(e.k > 0 and e.square() >= 4 for e in s.entries()) and markov_c_s(s) <= 4
     return all(e >= 2.0 - 1e-9 for e in s.entries()) and markov_c_s(s) <= 4.0 + 1e-9
 
 
@@ -329,13 +334,28 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
     """u_n(r) with u_{-2} = -1, u_{-1} = 0 and u_{n+1} = r u_n - u_{n-1}.
 
     Exact for Surd input (even-index values are integers, odd-index
-    values share r's radicand), plain float recursion otherwise.
+    values share r's radicand), plain float recursion otherwise. Every
+    call takes bounded time: an exact r with r**2 <= 3 first reduces n
+    modulo the period of the sequence, r = +-2 gives (+-1)**n (n + 1)
+    directly, a wider exact r overflows 64 bits within about 90 steps,
+    and a float r with n above CHEBYSHEV_FLOAT_CAP raises
+    IterationCapExceeded.
     """
     if n < -2:
         raise DomainError(f"chebyshev_u requires n >= -2, got {n}")
     if isinstance(r, Surd):
+        square = r.square()
+        if square in _CHEBYSHEV_PERIODS:
+            n = (n + 2) % _CHEBYSHEV_PERIODS[square] - 2
+        elif square == 4:
+            return Surd.from_int((r.sign if n % 2 else 1) * (n + 1))
         prev, cur = Surd.from_int(-1), Surd.zero()
     else:
+        if n > CHEBYSHEV_FLOAT_CAP:
+            raise IterationCapExceeded(
+                f"chebyshev_u on a float r takes n + 1 steps; n = {n} exceeds the cap of "
+                f"{CHEBYSHEV_FLOAT_CAP}"
+            )
         prev, cur = -1.0, 0.0
     if n == -2:
         return prev
@@ -400,7 +420,7 @@ def find_negative_in_12_orbit(
     r_lt_2 = (r < Surd.from_int(2)) if isinstance(r, Surd) else (r < 2.0)
     if not r_lt_2:
         raise DomainError(f"requires r < 2, got r = {r}")
-    negative = (lambda v: v.sign < 0) if s.backend == "exact" else (lambda v: v < 0.0)
+    negative = (lambda v: v.k < 0) if s.backend == "exact" else (lambda v: v < 0.0)
     for n, value in _f_pairs(s):
         if n >= 1 and negative(value):
             return n, value

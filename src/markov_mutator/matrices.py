@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Iterator, Sequence, Union
 
 from .errors import NotInShat, ProductMismatch, SignMismatch, ensure_int64
-from .surd import Surd, surd_from_integer_square
+from .surd import Surd, _render, _surd, surd_from_integer_square
 
 __all__ = [
     "CyclicityClass",
@@ -160,10 +160,10 @@ def _exact_product(p: Surd, q: Surd, r: Surd) -> tuple[int, int]:
     The radicands are multiplied one at a time with their gcd taken out,
     as Surd multiplication does, but nothing is held to 64 bits.
     """
-    coeff, rad = p.sign * q.sign * r.sign, 1
+    coeff, rad = 1, 1
     for e in (p, q, r):
         g = math.gcd(rad, e.radicand)
-        coeff *= e.coeff * g
+        coeff *= e.k * g
         rad = (rad // g) * (e.radicand // g)
     return coeff, rad
 
@@ -190,10 +190,8 @@ class TripleS:
         if kinds == {True}:
             pqr, rad = _exact_product(self.p, self.q, self.r)
             if pqr and rad != 1:
-                sign = "-" if pqr < 0 else ""
-                mag = "" if abs(pqr) == 1 else f"{abs(pqr)}*"
                 raise NotInShat(
-                    f"pqr = {sign}{mag}sqrt({rad}) is not an integer; "
+                    f"pqr = {_render(pqr, rad)} is not an integer; "
                     f"({self.p}, {self.q}, {self.r}) has no integer lift"
                 )
             object.__setattr__(self, "pqr", pqr)
@@ -223,7 +221,7 @@ class TripleS:
 
     def is_positive(self) -> bool:
         if self.backend == "exact":
-            return all(e.sign > 0 for e in self.entries())
+            return all(e.k > 0 for e in self.entries())
         return all(e > 0 for e in self.entries())
 
     def as_floats(self) -> tuple[float, float, float]:
@@ -336,13 +334,11 @@ def gamma_tuple(t: SixTuple, k: int) -> SixTuple:
 
 
 def _coefficients(s: TripleS) -> tuple[list[int], list[int]]:
-    return [e.sign * e.coeff for e in s.entries()], [e.radicand for e in s.entries()]
+    return [e.k for e in s.entries()], [e.radicand for e in s.entries()]
 
 
 def _from_coefficients(ks: Sequence[int], ds: Sequence[int]) -> TripleS:
-    return TripleS(
-        *(Surd(1 if k > 0 else -1, abs(k), d) if k else Surd.zero() for k, d in zip(ks, ds))
-    )
+    return TripleS(*(_surd(k, d) for k, d in zip(ks, ds)))
 
 
 def _exact_directions(ks: Sequence[int], ds: Sequence[int], t: int) -> list[bool]:
@@ -371,12 +367,12 @@ def _gamma_step(ks: list[int], ds: Sequence[int], t: int, i: int) -> int:
     The product of the other two entries is t / (ks[i] sqrt(ds[i])), which
     is (t // (ks[i] ds[i])) sqrt(ds[i]) by an exact division, so the new
     entry keeps radicand ds[i]. The new product is the product of the
-    other two squares minus t. Only the new coefficient is held to 64 bits.
+    other two squares minus t. Nothing is held to 64 bits here: a descent
+    step only shrinks the entry, and _from_coefficients checks the width
+    of what gamma_s returns.
     """
     k = ks[i]
-    new = t // (k * ds[i]) - k
-    ensure_int64(abs(new), "surd coefficient")
-    ks[i] = new
+    ks[i] = t // (k * ds[i]) - k
     a, b = ks[i - 2], ks[i - 1]
     return a * a * ds[i - 2] * b * b * ds[i - 1] - t
 
@@ -397,7 +393,7 @@ def gamma_s(s: TripleS, k: int) -> TripleS:
         raise ValueError(f"gamma index must be 1, 2 or 3, got {k}")
     i = k - 1
     entries = list(s.entries())
-    if s.backend == "exact" and entries[i].sign:
+    if s.backend == "exact" and entries[i].k:
         ks, ds = _coefficients(s)
         _gamma_step(ks, ds, s.pqr, i)
         return _from_coefficients(ks, ds)

@@ -95,8 +95,9 @@ def reduce_to_fundamental(m: MatM) -> OrbitReport:
 
     While some gamma_i strictly decreases column i (equivalently
     xyz < 2 a_i a_i'), apply the smallest such i. The endpoint is the
-    unique M1 element of the orbit: the fundamental-domain inequalities,
-    which are the flags that end the loop, hold there.
+    unique M1 element of the orbit. is_minimal_certified checks the
+    endpoint itself against its three gamma images, without reusing the
+    flags that ended the loop.
     """
     if cyclicity(m) is not CyclicityClass.POSITIVE_CYCLIC:
         raise NotClusterCyclic(f"{m} is not positive-cyclic")
@@ -117,8 +118,13 @@ def reduce_to_fundamental(m: MatM) -> OrbitReport:
         representative=MatM(*cur),
         path=MutationPath(tuple(reversed(word))),
         explored=len(word) + 1,
-        is_minimal_certified=all(flags),
+        is_minimal_certified=_is_entrywise_minimal(cur),
     )
+
+
+def _is_entrywise_minimal(t: SixTuple) -> bool:
+    """Is every entry of t at most the matching entry of each of its gamma images?"""
+    return all(a <= b for k in (1, 2, 3) for a, b in zip(t, gamma_tuple(t, k)))
 
 
 def _bfs(

@@ -1,13 +1,23 @@
-"""Exact arithmetic for real numbers of the form sign * coeff * sqrt(radicand).
+"""Exact arithmetic for real numbers of the form k * sqrt(radicand).
 
-The radicand is kept squarefree and zero is stored canonically as
-(0, 0, 1), so structural equality of the dataclass is equality of the
-represented reals. Only the operations the package needs are provided:
-multiplication, same-radicand subtraction, squaring and exact comparison.
-Multiplication and subtraction serve chebyshev_u and the alternating
-1,2-orbit; the triple descent and gamma_s on a nonzero entry work on the
-coefficients in plain integers (matrices._gamma_step) instead. General
-sums of surds with distinct radicands are deliberately unsupported.
+k is a signed integer coefficient, the radicand is kept squarefree and
+zero is stored canonically as (0, 1), so structural equality of the
+dataclass is equality of the represented reals. The sign and the
+magnitude of k stay readable as sign and coeff, which is the form the
+text and JSON renderings use.
+
+The radicand is factored only where a value enters the package: a
+Surd(k, radicand) built by a caller is checked in full, and Surd.make
+splits a radicand that need not be squarefree. Values derived inside
+the package (products, differences, negations) go through _surd, which
+checks only the 64-bit widths.
+
+Only the operations the package needs are provided: multiplication,
+same-radicand subtraction, squaring and exact comparison. Multiplication
+and subtraction serve chebyshev_u and the alternating 1,2-orbit; the
+triple descent and gamma_s on a nonzero entry work on the coefficients
+in plain integers (matrices._gamma_step) instead. General sums of surds
+with distinct radicands are deliberately unsupported.
 """
 
 from __future__ import annotations
@@ -58,52 +68,73 @@ _SURD_RE = re.compile(
 )
 
 
+def _surd(k: int, d: int) -> Surd:
+    """k * sqrt(d) for a d the package already knows is squarefree.
+
+    Only the 64-bit widths of |k| and d are checked; zero becomes (0, 1).
+    """
+    if not k:
+        d = 1
+    ensure_int64(abs(k), "surd coefficient")
+    ensure_int64(d, "surd radicand")
+    s = object.__new__(Surd)
+    object.__setattr__(s, "k", k)
+    object.__setattr__(s, "radicand", d)
+    return s
+
+
+def _render(k: int, d: int) -> str:
+    """The text of k * sqrt(d): 0, 3, -3, sqrt(5), 2*sqrt(5), -sqrt(6)."""
+    if d == 1:
+        return str(k)
+    if abs(k) == 1:
+        return f"{'-' if k < 0 else ''}sqrt({d})"
+    return f"{k}*sqrt({d})"
+
+
 @total_ordering
 @dataclass(frozen=True)
 class Surd:
-    """The real number sign * coeff * sqrt(radicand).
+    """The real number k * sqrt(radicand).
 
     Parameters
     ----------
-    sign : int
-        -1, 0 or +1. Zero iff coeff is zero.
-    coeff : int
-        Non-negative coefficient k.
+    k : int
+        Signed coefficient.
     radicand : int
         Positive squarefree integer d. Fixed at 1 for the zero value.
     """
 
-    sign: int
-    coeff: int
+    k: int
     radicand: int
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if self.coeff < 0:
-            raise ValueError(f"coeff must be non-negative, got {self.coeff!r}")
-        if (self.sign == 0) != (self.coeff == 0):
-            raise ValueError("zero must be stored as sign = 0, coeff = 0")
-        if self.sign == 0 and self.radicand != 1:
-            raise ValueError("the canonical zero is (0, 0, 1)")
+        if self.k == 0 and self.radicand != 1:
+            raise ValueError("the canonical zero is (0, 1)")
         if self.radicand <= 0:
             raise ValueError(f"radicand must be positive, got {self.radicand!r}")
-        ensure_int64(self.coeff, "surd coefficient")
+        ensure_int64(abs(self.k), "surd coefficient")
         ensure_int64(self.radicand, "surd radicand")
         if _squarefree_split(self.radicand)[1] != self.radicand:
             raise ValueError(f"radicand {self.radicand} is not squarefree")
+
+    @property
+    def sign(self) -> int:
+        return (self.k > 0) - (self.k < 0)
+
+    @property
+    def coeff(self) -> int:
+        return abs(self.k)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls) -> Surd:
-        return cls(0, 0, 1)
+        return _surd(0, 1)
 
     @classmethod
     def from_int(cls, n: int) -> Surd:
-        if n == 0:
-            return cls.zero()
-        return cls(1 if n > 0 else -1, abs(n), 1)
+        return _surd(n, 1)
 
     @classmethod
     def make(cls, signed_coeff: int, radicand: int) -> Surd:
@@ -113,34 +144,27 @@ class Surd:
         if radicand < 0:
             raise ValueError("radicand must be non-negative")
         k, d = _squarefree_split(radicand)
-        mag = abs(signed_coeff) * k
-        return cls(1 if signed_coeff > 0 else -1, mag, d)
+        return _surd(signed_coeff * k, d)
 
     # -- arithmetic --------------------------------------------------
 
     def square(self) -> int:
-        """The exact integer coeff**2 * radicand."""
-        return self.coeff * self.coeff * self.radicand
+        """The exact integer k**2 * radicand."""
+        return self.k * self.k * self.radicand
 
     def is_zero(self) -> bool:
-        return self.sign == 0
+        return self.k == 0
 
     def __neg__(self) -> Surd:
-        if self.sign == 0:
-            return self
-        return Surd(-self.sign, self.coeff, self.radicand)
+        return _surd(-self.k, self.radicand)
 
     def __mul__(self, other: Surd | int) -> Surd:
         if isinstance(other, int):
             other = Surd.from_int(other)
         elif not isinstance(other, Surd):
             return NotImplemented
-        if self.sign == 0 or other.sign == 0:
-            return Surd.zero()
         g = math.gcd(self.radicand, other.radicand)
-        coeff = self.coeff * other.coeff * g
-        radicand = (self.radicand // g) * (other.radicand // g)
-        return Surd(self.sign * other.sign, ensure_int64(coeff, "surd coefficient"), radicand)
+        return _surd(self.k * other.k * g, (self.radicand // g) * (other.radicand // g))
 
     __rmul__ = __mul__
 
@@ -153,53 +177,30 @@ class Surd:
         """
         if not isinstance(other, Surd):
             return NotImplemented
-        if other.sign == 0:
+        if other.k == 0:
             return self
-        if self.sign == 0:
+        if self.k == 0:
             return -other
         if self.radicand != other.radicand:
             raise RadicandMismatch(
                 f"cannot subtract sqrt({other.radicand}) terms from sqrt({self.radicand}) terms"
             )
-        k = self.sign * self.coeff - other.sign * other.coeff
-        if k == 0:
-            return Surd.zero()
-        return Surd(1 if k > 0 else -1, ensure_int64(abs(k), "surd coefficient"), self.radicand)
+        return _surd(self.k - other.k, self.radicand)
 
     # -- comparison --------------------------------------------------
-
-    def _cmp(self, other: Surd) -> int:
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.sign == 0:
-            return 0
-        # same nonzero sign: compare magnitudes by cross-squaring
-        a = self.square()
-        b = other.square()
-        if a == b:
-            return 0
-        mag = -1 if a < b else 1
-        return mag * self.sign
 
     def __lt__(self, other: Surd | int) -> bool:
         if isinstance(other, int):
             other = Surd.from_int(other)
-        return self._cmp(other) < 0
+        return self.sign * self.square() < other.sign * other.square()
 
     def __float__(self) -> float:
-        return self.sign * self.coeff * math.sqrt(self.radicand)
+        return self.k * math.sqrt(self.radicand)
 
     # -- text and JSON -----------------------------------------------
 
     def __str__(self) -> str:
-        if self.sign == 0:
-            return "0"
-        prefix = "-" if self.sign < 0 else ""
-        if self.radicand == 1:
-            return f"{prefix}{self.coeff}"
-        if self.coeff == 1:
-            return f"{prefix}sqrt({self.radicand})"
-        return f"{prefix}{self.coeff}*sqrt({self.radicand})"
+        return _render(self.k, self.radicand)
 
     @classmethod
     def parse(cls, text: str) -> Surd:
@@ -218,18 +219,11 @@ class Surd:
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> Surd:
-        sign = int(obj["sign"])
-        coeff = int(obj["coeff"])
-        if sign == 0 or coeff == 0:
-            return cls.zero()
-        return cls.make(sign * coeff, int(obj["radicand"]))
+        return cls.make(int(obj["sign"]) * int(obj["coeff"]), int(obj["radicand"]))
 
 
 def surd_from_integer_square(m: int) -> Surd:
     """The canonical Surd equal to +sqrt(m), for m >= 0."""
     if m < 0:
         raise ValueError(f"cannot take a real square root of {m}")
-    if m == 0:
-        return Surd.zero()
-    k, d = _squarefree_split(m)
-    return Surd(1, ensure_int64(k, "surd coefficient"), d)
+    return Surd.make(1, m)

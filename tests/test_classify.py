@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from markov_mutator.classify import (
+    CHEBYSHEV_FLOAT_CAP,
     ABKind,
     MkClass,
     SequenceBehavior,
@@ -378,6 +379,33 @@ def test_chebyshev_at_two():
 def test_chebyshev_float_agrees_with_exact(n, d):
     r = Surd.make(1, d)
     assert float(chebyshev_u(n, r)) == pytest.approx(chebyshev_u(n, math.sqrt(d)), rel=1e-9)
+
+
+def recursion_u(n, r):
+    """u_n(r) by running the recursion from u_{-2} = -1, u_{-1} = 0."""
+    prev, cur = Surd.from_int(-1), Surd.zero()
+    for _ in range(n + 2):
+        prev, cur = cur, r * cur - prev
+    return prev
+
+
+@pytest.mark.parametrize("k, d", [(0, 1), (1, 1), (1, 2), (1, 3), (2, 1)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chebyshev_closed_forms_match_recursion(sign, k, d):
+    # r^2 <= 3 reduces n modulo the period, r = +-2 has the closed form (+-1)^n (n + 1)
+    r = Surd.make(sign * k, d)
+    for n in range(-2, 61):
+        assert chebyshev_u(n, r) == recursion_u(n, r), n
+
+
+def test_chebyshev_large_index_is_bounded():
+    assert chebyshev_u(10**9, Surd.from_int(1)) == Surd.from_int(-1)  # period 6
+    assert chebyshev_u(10**9, Surd.make(-1, 3)) == Surd.from_int(1)  # period 12, u_4
+    assert chebyshev_u(10**9, Surd.from_int(-2)) == Surd.from_int(10**9 + 1)
+    with pytest.raises(OverflowLimitError):
+        chebyshev_u(2**63, Surd.from_int(2))
+    with pytest.raises(IterationCapExceeded):
+        chebyshev_u(CHEBYSHEV_FLOAT_CAP + 1, 1.5)
 
 
 def test_chebyshev_parity_structure():

@@ -335,6 +335,15 @@ def test_large_prime_radicand_answers_within_deadline():
     assert done.stdout == "sqrt(2305843009213693951)\n"
 
 
+def test_chebyshev_large_index_answers_within_deadline():
+    done = run_module("chebyshev", "1000000000", "1", timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "-1\n"
+    done = run_module("chebyshev", "1000000000", "1.5", timeout=20)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+
+
 def test_enumerate_large_constant_answers_within_deadline():
     done = run_module("enumerate", "--markov", "-10000", timeout=20)
     assert done.returncode == 0, done.stderr

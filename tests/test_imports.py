@@ -1,4 +1,5 @@
-"""Every name a package module imports is used, and every name it exports is bound."""
+"""Every name a package module imports is used, every name it exports is bound,
+and every private module-level function is referred to outside its own def."""
 
 import ast
 import importlib
@@ -32,6 +33,44 @@ def unused_imports(source: str) -> list[str]:
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used - set(exported(source)))
+
+
+def orphaned_private_functions(sources: list[str]) -> list[str]:
+    """Private module-level functions that no code outside their own def refers to.
+
+    Names are matched across all the given module sources, so a helper
+    that only another module imports and reads still counts as used.
+    """
+    private, read = set(), set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, ast.FunctionDef):
+                owner = stmt.name
+                if owner.startswith("_") and not owner.startswith("__"):
+                    private.add(owner)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != owner:
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    return sorted(private - read)
+
+
+def test_orphaned_private_functions_finds_only_unreferenced_helpers():
+    helpers = (
+        "def _used(n):\n    return n\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "def _orphan():\n    pass\n"
+        "def __getattr__(name):\n    pass\n"
+    )
+    caller = "from .helpers import _used\nvalue = _used(1)\n"
+    assert orphaned_private_functions([helpers, caller]) == ["_orphan", "_recursive"]
+    assert orphaned_private_functions([helpers]) == ["_orphan", "_recursive", "_used"]
+
+
+def test_package_calls_every_private_function():
+    assert orphaned_private_functions([path.read_text() for path in MODULES]) == []
 
 
 def test_unused_imports_finds_only_unread_names():

@@ -31,6 +31,7 @@ from markov_mutator.matrices import (
     sk,
 )
 from markov_mutator.orbits import (
+    _is_entrywise_minimal,
     lift_to_matm,
     mu_orbit_search_acyclic,
     orbit_bfs,
@@ -88,6 +89,12 @@ def test_reduce_example_undoes_one_step():
     assert list(report.path) == [1]
     assert report.is_minimal_certified
     assert report.explored == len(report.path) + 1
+
+
+def test_minimality_certificate_reads_false_off_the_minimum():
+    assert _is_entrywise_minimal((3, 3, 3, 3, 3, 3))
+    assert not _is_entrywise_minimal((6, 3, 3, 6, 3, 3))
+    assert not _is_entrywise_minimal((15, 3, 6, 15, 3, 6))
 
 
 def test_reduce_fixed_point_is_identity():

@@ -4,7 +4,11 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from markov_mutator import surd
+from markov_mutator.classify import ab_class, chebyshev_u, is_cluster_positive
+from markov_mutator.enumeration import enumerate_m1
 from markov_mutator.errors import OverflowLimitError, RadicandMismatch
+from markov_mutator.matrices import gamma_s
 from markov_mutator.surd import Surd, _squarefree_split, surd_from_integer_square
 
 SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 17, 19, 21, 23, 26, 29, 30]
@@ -23,7 +27,7 @@ def cmp(a, b):
 
 
 def test_canonical_zero():
-    assert Surd.zero() == Surd(0, 0, 1)
+    assert Surd.zero() == Surd(0, 1)
     assert Surd.from_int(0) == Surd.zero()
     assert Surd.make(0, 5) == Surd.zero()
     assert Surd.make(3, 0) == Surd.zero()
@@ -32,31 +36,31 @@ def test_canonical_zero():
 
 
 def test_make_canonicalizes_square_factors():
-    assert Surd.make(1, 8) == Surd(1, 2, 2)
-    assert Surd.make(-1, 12) == Surd(-1, 2, 3)
-    assert Surd.make(2, 50) == Surd(1, 10, 2)
-    assert Surd.make(1, 49) == Surd(1, 7, 1)
+    assert Surd.make(1, 8) == Surd(2, 2)
+    assert Surd.make(-1, 12) == Surd(-2, 3)
+    assert Surd.make(2, 50) == Surd(10, 2)
+    assert Surd.make(1, 49) == Surd(7, 1)
 
 
 def test_constructor_rejects_non_canonical():
     with pytest.raises(ValueError):
-        Surd(1, 2, 8)  # radicand not squarefree
+        Surd(2, 8)  # radicand not squarefree
     with pytest.raises(ValueError):
-        Surd(1, 0, 1)  # zero coeff with nonzero sign
+        Surd(0, 5)  # zero must carry radicand 1
     with pytest.raises(ValueError):
-        Surd(0, 0, 5)  # zero must carry radicand 1
+        Surd(1, 0)
     with pytest.raises(ValueError):
-        Surd(2, 1, 1)
-    with pytest.raises(ValueError):
-        Surd(1, -3, 2)
-    with pytest.raises(ValueError):
-        Surd(1, 1, 0)
+        Surd(-1, -2)
 
 
 def test_int64_storage_bound():
     big = 1 << 63
     with pytest.raises(OverflowLimitError):
-        Surd(1, big, 1)
+        Surd(big, 1)
+    with pytest.raises(OverflowLimitError):
+        Surd(-big, 1)
+    with pytest.raises(OverflowLimitError):
+        Surd(1, big + 1)
     with pytest.raises(OverflowLimitError):
         Surd.from_int(3) * Surd.from_int(big // 2)
 
@@ -73,8 +77,8 @@ def test_parse_str_grammar():
     cases = ["0", "3", "-3", "sqrt(5)", "2*sqrt(5)", "-sqrt(6)", "-2*sqrt(15)"]
     for text in cases:
         assert str(Surd.parse(text)) == text
-    assert Surd.parse(" + 2 * sqrt( 5 ) ") == Surd(1, 2, 5)
-    assert Surd.parse("sqrt(8)") == Surd(1, 2, 2)  # canonicalized on parse
+    assert Surd.parse(" + 2 * sqrt( 5 ) ") == Surd(2, 5)
+    assert Surd.parse("sqrt(8)") == Surd(2, 2)  # canonicalized on parse
     for bad in ["", "sqrt()", "sqrt(-4)", "2**sqrt(5)", "x", "1.5", "sqrt(2)*3"]:
         with pytest.raises(ValueError):
             Surd.parse(bad)
@@ -194,6 +198,44 @@ def test_squarefree_split_matches_factorint(m):
     factors = sympy.factorint(m)
     assert k == math.prod(p ** (e // 2) for p, e in factors.items())
     assert d == math.prod(p for p, e in factors.items() if e % 2)
+
+
+def assert_passes_public_validation(x):
+    assert Surd(x.k, x.radicand) == x
+
+
+@given(surds, surds, st.integers(-(10**9), 10**9))
+def test_derived_surds_pass_public_validation(a, b, n):
+    derived = [Surd.parse(str(a)), Surd.from_int(n), a * b, a * n, -a, a - 3 * a]
+    if a.radicand == b.radicand or a.is_zero() or b.is_zero():
+        derived.append(a - b)
+    for x in derived:
+        assert_passes_public_validation(x)
+
+
+@given(st.integers(-60, 3), st.data())
+def test_gamma_and_descent_results_pass_public_validation(c, data):
+    s = data.draw(st.sampled_from(enumerate_m1(c))).triple
+    for k in data.draw(st.lists(st.integers(1, 3), max_size=6)):
+        s = gamma_s(s, k)
+        for x in s.entries():
+            assert_passes_public_validation(x)
+    if is_cluster_positive(s):
+        for x in ab_class(s).representative.entries():
+            assert_passes_public_validation(x)
+
+
+def test_derived_values_are_not_split_again(monkeypatch):
+    calls = []
+    split = surd._squarefree_split
+    monkeypatch.setattr(surd, "_squarefree_split", lambda m: calls.append(m) or split(m))
+    r = Surd.parse("sqrt(2305843009213693951)")  # the Mersenne prime 2^61 - 1
+    assert len(calls) == 1
+    calls.clear()
+    chebyshev_u(1, r)
+    r * r
+    -r
+    assert calls == []
 
 
 def test_no_addition_operator():
