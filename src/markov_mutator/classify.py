@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     DomainError,
@@ -94,8 +93,7 @@ class SequenceBehavior(Enum):
     CONVERGES_TO_ZERO = "converges-to-zero"
 
 
-@dataclass(frozen=True)
-class ABClass:
+class ABClass(NamedTuple):
     """Outcome of the descent on a cluster-positive triple.
 
     Class A carries the M1 representative (the minimum of the orbit)
@@ -110,8 +108,7 @@ class ABClass:
     limit: Optional[tuple[float, float, float]] = None
 
 
-@dataclass(frozen=True)
-class CyclicityCertificate:
+class CyclicityCertificate(NamedTuple):
     """Why a matrix was declared cluster-cyclic or not."""
 
     decision: str

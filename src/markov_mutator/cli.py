@@ -13,7 +13,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence, Union
 
 from .classify import (
@@ -90,7 +89,7 @@ def _classify_matrix(args, m: MatM) -> int:
     if not ok:
         hit = mu_orbit_search_acyclic(m, depth=args.depth, entry_bound=args.entry_bound)
         if hit is not None:
-            cert = replace(cert, witness_path=hit[0])
+            cert = cert._replace(witness_path=hit[0])
     fixed = m.is_positive() and is_fixed_point(m)
     payload = {"matrix": str(m), "cyclicity": cyc.value}
     payload.update(cert.to_json())

@@ -35,46 +35,54 @@ infinite family (p, p, 2), so a cap on p^2 is mandatory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .matrices import TripleS
 from .surd import surd_from_integer_square
+from .value import Value
 
 __all__ = [
+    "ENUMERATION_CAP",
     "M1Representative",
     "enumerate_m1",
     "surjectivity_witness",
     "surjectivity_witness_alt",
 ]
 
+# The bound on the search: constants below -ENUMERATION_CAP, and caps on p^2
+# above it for the constant 4, raise ResourceError before any work. At the
+# cap itself either call takes about 2 s on a 2-core VM.
+ENUMERATION_CAP = 10**5
 
-@dataclass(frozen=True)
-class M1Representative:
+
+class M1Representative(Value):
     """A descent-minimal triple, its integer squares, and its constant."""
 
+    __slots__ = ("triple", "squares", "markov")
     triple: TripleS
     squares: tuple[int, int, int]
     markov: int
 
-    def __post_init__(self) -> None:
-        a, b, c = self.squares
+    def __init__(self, triple: TripleS, squares: tuple[int, int, int], markov: int) -> None:
+        a, b, c = squares
         if not a >= b >= c > 0:
-            raise DomainError(f"squares must satisfy a >= b >= c > 0, got {self.squares}")
+            raise DomainError(f"squares must satisfy a >= b >= c > 0, got {squares}")
         t = math.isqrt(a * b * c)
         if t * t != a * b * c:
             raise DomainError(f"abc = {a * b * c} is not a perfect square")
         if t < 2 * a:
             raise DomainError(f"sqrt(abc) = {t} < 2a = {2 * a}: not descent-minimal")
-        if a + b + c - t != self.markov:
+        if a + b + c - t != markov:
             raise DomainError(
-                f"markov constant of squares {self.squares} is {a + b + c - t}, "
-                f"not {self.markov}"
+                f"markov constant of squares {squares} is {a + b + c - t}, not {markov}"
             )
-        if self.triple.backend != "exact" or any(
-            e.sign <= 0 or e.square() != v for e, v in zip(self.triple.entries(), self.squares)
+        if triple.backend != "exact" or any(
+            e.sign <= 0 or e.square() != v for e, v in zip(triple.entries(), squares)
         ):
-            raise DomainError(f"triple ({self.triple}) does not match squares {self.squares}")
+            raise DomainError(f"triple ({triple}) does not match squares {squares}")
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "squares", squares)
+        object.__setattr__(self, "markov", markov)
 
     @classmethod
     def from_squares(cls, a: int, b: int, c: int, markov: int) -> M1Representative:
@@ -127,14 +135,22 @@ def enumerate_m1(c_target: int, p_square_cap: int | None = None) -> list[M1Repre
     c_target < 4 the search space is intrinsically finite and the cap,
     if given, just truncates. Each (b, c) pair inside the integer bounds
     of the module docstring yields at most one candidate, the smaller
-    Vieta root; the cost grows as about |c_target|^(4/3).
+    Vieta root; the cost grows as about |c_target|^(4/3). A c_target below
+    -ENUMERATION_CAP, or a p_square_cap above it for c_target = 4, raises
+    ResourceError.
     """
     if c_target > 4:
         raise DomainError(f"no descent-minimal triples exist with constant {c_target} > 4")
+    if c_target < -ENUMERATION_CAP:
+        raise ResourceError(f"constant {c_target} is below -ENUMERATION_CAP = {-ENUMERATION_CAP}")
     if c_target == 4:
         if p_square_cap is None:
             raise DomainError(
                 "constant 4 admits the infinite family (p, p, 2); p_square_cap is required"
+            )
+        if p_square_cap > ENUMERATION_CAP:
+            raise ResourceError(
+                f"p_square_cap {p_square_cap} exceeds ENUMERATION_CAP = {ENUMERATION_CAP}"
             )
         squares = [(a, a, 4) for a in range(4, p_square_cap + 1)]
     else:

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence, Union
 
 from .errors import NotInShat, ProductMismatch, SignMismatch, ensure_int64
 from .surd import Surd, _render, _surd, surd_from_integer_square
+from .value import Value
 
 __all__ = [
     "CyclicityClass",
@@ -62,10 +62,10 @@ def _sgn(a) -> int:
     return (a > 0) - (a < 0)
 
 
-@dataclass(frozen=True)
-class MatM:
+class MatM(Value):
     """Validated six-tuple (x, y, z, x', y', z') with 64-bit entries."""
 
+    __slots__ = ("x", "y", "z", "xp", "yp", "zp")
     x: int
     y: int
     z: int
@@ -73,18 +73,22 @@ class MatM:
     yp: int
     zp: int
 
-    def __post_init__(self) -> None:
-        for name, e in zip(("x", "y", "z", "x'", "y'", "z'"), self.entries()):
+    def __init__(self, x: int, y: int, z: int, xp: int, yp: int, zp: int) -> None:
+        for name, e in zip(("x", "y", "z", "x'", "y'", "z'"), (x, y, z, xp, yp, zp)):
             if not isinstance(e, int):
                 raise TypeError(f"entry {name} must be an integer, got {type(e).__name__}")
             ensure_int64(e, f"matrix entry {name}")
-        if self.x * self.y * self.z != self.xp * self.yp * self.zp:
-            raise ProductMismatch(
-                f"xyz = {self.x * self.y * self.z} but x'y'z' = {self.xp * self.yp * self.zp}"
-            )
-        for name, a, b in (("x", self.x, self.xp), ("y", self.y, self.yp), ("z", self.z, self.zp)):
+        if x * y * z != xp * yp * zp:
+            raise ProductMismatch(f"xyz = {x * y * z} but x'y'z' = {xp * yp * zp}")
+        for name, a, b in (("x", x, xp), ("y", y, yp), ("z", z, zp)):
             if _sgn(a) != _sgn(b):
                 raise SignMismatch(f"column {name} mixes signs: ({a}, {b})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "xp", xp)
+        object.__setattr__(self, "yp", yp)
+        object.__setattr__(self, "zp", zp)
 
     def entries(self) -> SixTuple:
         return (self.x, self.y, self.z, self.xp, self.yp, self.zp)
@@ -168,41 +172,44 @@ def _exact_product(p: Surd, q: Surd, r: Surd) -> tuple[int, int]:
     return coeff, rad
 
 
-@dataclass(frozen=True)
-class TripleS:
+class TripleS(Value):
     """Ordered triple (p, q, r), exact (Surd entries) or float, never mixed.
 
     The exact backend requires integer entry squares by construction and
     checks that pqr is an integer; the float backend accepts anything.
     The product is kept in pqr: an unbounded int for the exact backend,
     whose entries alone are held to 64 bits, and a float otherwise.
+    Equality, the hash and repr read p, q and r only.
     """
 
+    __slots__ = ("p", "q", "r", "pqr")
+    _fields = ("p", "q", "r")
     p: Union[Surd, float]
     q: Union[Surd, float]
     r: Union[Surd, float]
-    pqr: Union[int, float] = field(init=False, repr=False, compare=False)
+    pqr: Union[int, float]
 
-    def __post_init__(self) -> None:
-        kinds = {isinstance(e, Surd) for e in self.entries()}
+    def __init__(self, p: Union[Surd, float], q: Union[Surd, float], r: Union[Surd, float]) -> None:
+        kinds = {isinstance(e, Surd) for e in (p, q, r)}
         if len(kinds) != 1:
             raise TypeError("triple entries must be all Surd or all float, not mixed")
         if kinds == {True}:
-            pqr, rad = _exact_product(self.p, self.q, self.r)
+            pqr, rad = _exact_product(p, q, r)
             if pqr and rad != 1:
                 raise NotInShat(
                     f"pqr = {_render(pqr, rad)} is not an integer; "
-                    f"({self.p}, {self.q}, {self.r}) has no integer lift"
+                    f"({p}, {q}, {r}) has no integer lift"
                 )
-            object.__setattr__(self, "pqr", pqr)
         else:
-            for e in self.entries():
+            for e in (p, q, r):
                 if not isinstance(e, (int, float)) or isinstance(e, bool):
                     raise TypeError(f"float-backend entry must be a real number, got {e!r}")
-            object.__setattr__(self, "p", float(self.p))
-            object.__setattr__(self, "q", float(self.q))
-            object.__setattr__(self, "r", float(self.r))
-            object.__setattr__(self, "pqr", self.p * self.q * self.r)
+            p, q, r = float(p), float(q), float(r)
+            pqr = p * q * r
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "pqr", pqr)
 
     @classmethod
     def exact(cls, p: Surd, q: Surd, r: Surd) -> TripleS:
@@ -247,20 +254,21 @@ class TripleS:
         return {"entries": list(self.entries())}
 
 
-@dataclass(frozen=True)
-class MutationPath:
+class MutationPath(Value):
     """A finite word over {1, 2, 3} with no two consecutive letters equal."""
 
-    indices: tuple[int, ...] = ()
+    __slots__ = ("indices",)
+    indices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        for i in self.indices:
+    def __init__(self, indices: Sequence[int] = ()) -> None:
+        indices = tuple(int(i) for i in indices)
+        for i in indices:
             if i not in (1, 2, 3):
                 raise ValueError(f"path index {i} is not in {{1, 2, 3}}")
-        for a, b in zip(self.indices, self.indices[1:]):
+        for a, b in zip(indices, indices[1:]):
             if a == b:
-                raise ValueError(f"path {self.indices} repeats index {a} consecutively")
+                raise ValueError(f"path {indices} repeats index {a} consecutively")
+        object.__setattr__(self, "indices", indices)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices)

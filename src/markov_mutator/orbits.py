@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     INT64_MAX,
@@ -50,8 +49,7 @@ DEFAULT_DEPTH = 12
 DEFAULT_ENTRY_BOUND = 10**9
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     """Result of a fundamental-domain reduction.
 
     path is the gamma word taking the representative back to the input
@@ -72,8 +70,7 @@ class OrbitReport:
         }
 
 
-@dataclass(frozen=True)
-class OrbitBfsResult:
+class OrbitBfsResult(NamedTuple):
     """Members found by a bounded gamma-word BFS, plus what was pruned."""
 
     members: frozenset[MatM]

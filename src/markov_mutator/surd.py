@@ -1,10 +1,10 @@
 """Exact arithmetic for real numbers of the form k * sqrt(radicand).
 
 k is a signed integer coefficient, the radicand is kept squarefree and
-zero is stored canonically as (0, 1), so structural equality of the
-dataclass is equality of the represented reals. The sign and the
-magnitude of k stay readable as sign and coeff, which is the form the
-text and JSON renderings use.
+zero is stored canonically as (0, 1), so equality of the two fields is
+equality of the represented reals. The sign and the magnitude of k stay
+readable as sign and coeff, which is the form the text and JSON
+renderings use.
 
 The radicand is factored only where a value enters the package: a
 Surd(k, radicand) built by a caller is checked in full, and Surd.make
@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Any
 
 from .errors import RadicandMismatch, ensure_int64
+from .value import Value
 
 __all__ = ["Surd", "surd_from_integer_square"]
 
@@ -93,8 +93,7 @@ def _render(k: int, d: int) -> str:
 
 
 @total_ordering
-@dataclass(frozen=True)
-class Surd:
+class Surd(Value):
     """The real number k * sqrt(radicand).
 
     Parameters
@@ -105,18 +104,21 @@ class Surd:
         Positive squarefree integer d. Fixed at 1 for the zero value.
     """
 
+    __slots__ = ("k", "radicand")
     k: int
     radicand: int
 
-    def __post_init__(self) -> None:
-        if self.k == 0 and self.radicand != 1:
+    def __init__(self, k: int, radicand: int) -> None:
+        if k == 0 and radicand != 1:
             raise ValueError("the canonical zero is (0, 1)")
-        if self.radicand <= 0:
-            raise ValueError(f"radicand must be positive, got {self.radicand!r}")
-        ensure_int64(abs(self.k), "surd coefficient")
-        ensure_int64(self.radicand, "surd radicand")
-        if _squarefree_split(self.radicand)[1] != self.radicand:
-            raise ValueError(f"radicand {self.radicand} is not squarefree")
+        if radicand <= 0:
+            raise ValueError(f"radicand must be positive, got {radicand!r}")
+        ensure_int64(abs(k), "surd coefficient")
+        ensure_int64(radicand, "surd radicand")
+        if _squarefree_split(radicand)[1] != radicand:
+            raise ValueError(f"radicand {radicand} is not squarefree")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "radicand", radicand)
 
     @property
     def sign(self) -> int:

@@ -353,6 +353,22 @@ def test_enumerate_large_constant_answers_within_deadline():
     assert all(line.split()[-1] == "-10000" for line in lines[1:])
 
 
+def test_enumerate_constant_below_cap_is_resource_error_within_deadline():
+    # without the cap this search runs for about 20 minutes
+    done = run_module("enumerate", "--markov", "-10000000", timeout=20)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:")
+
+
+def test_enumerate_constant_four_with_huge_cap_is_resource_error_within_deadline():
+    # without the cap this lists 10^12 triples
+    done = run_module("enumerate", "--markov", "4", "--p-square-cap", str(10**12), timeout=20)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:")
+
+
 def test_help_mentions_default_caps(capsys):
     code, out, err = invoke(capsys, "--help")
     assert code == 0

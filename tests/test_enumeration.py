@@ -7,12 +7,13 @@ from hypothesis import given, strategies as st
 
 from markov_mutator.classify import MkClass, is_cluster_cyclic, mk_class
 from markov_mutator.enumeration import (
+    ENUMERATION_CAP,
     M1Representative,
     enumerate_m1,
     surjectivity_witness,
     surjectivity_witness_alt,
 )
-from markov_mutator.errors import DomainError
+from markov_mutator.errors import DomainError, ResourceError
 from markov_mutator.matrices import TripleS, markov_c_s
 from markov_mutator.orbits import lift_to_matm, reduce_to_fundamental
 
@@ -79,6 +80,15 @@ def test_enumerate_constant_four_family():
 def test_enumerate_above_four_rejected():
     with pytest.raises(DomainError):
         enumerate_m1(5)
+
+
+def test_enumerate_refuses_work_past_the_cap():
+    with pytest.raises(ResourceError, match="ENUMERATION_CAP"):
+        enumerate_m1(-ENUMERATION_CAP - 1)
+    with pytest.raises(ResourceError, match="ENUMERATION_CAP"):
+        enumerate_m1(4, p_square_cap=ENUMERATION_CAP + 1)
+    # below 4 the cap on p^2 only truncates, so any value is accepted
+    assert len(enumerate_m1(0, p_square_cap=10**12)) == 4
 
 
 def test_enumerate_cap_truncates_below_four():

@@ -1,8 +1,13 @@
 """Every name a package module imports is used, every name it exports is bound,
-and every private module-level function is referred to outside its own def."""
+every private module-level function is referred to outside its own def, and
+the command line starts without the standard library's heavy introspection
+modules."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +112,22 @@ def test_package_exports_exactly_what_it_imports():
         for alias in node.names
     }
     assert set(markov_mutator.__all__) == imported
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 13 ms of
+    # start-up in every command-line run, which no subcommand needs.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import markov_mutator.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(markov_mutator.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "markov_mutator.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
