@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional, Union
 from .errors import (
     DomainError,
     IterationCapExceeded,
+    OverflowLimitError,
     SearchBudgetExceeded,
 )
 from .matrices import (
@@ -29,7 +30,7 @@ from .matrices import (
     TripleS,
     _coefficients,
     _exact_directions,
-    _from_coefficients,
+    _exact_triple,
     _gamma_step,
     gamma_s,
     markov_c_m,
@@ -233,10 +234,10 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     an exact-shape (p, p, 2) endpoint still comes back as M1 / class A.
     Hitting the cap raises IterationCapExceeded with the last iterate.
     """
+    if isinstance(s.p, Surd):
+        return _ab_class_exact(s, cap)
     if not s.is_positive():
         raise DomainError("ab_class requires a positive triple")
-    if s.backend == "exact":
-        return _ab_class_exact(s, cap)
     cur = s
     word: list[int] = []
     for iterations in itertools.count():
@@ -270,26 +271,28 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
 
 
 def _ab_class_exact(s: TripleS, cap: int) -> ABClass:
-    """ab_class on a positive exact triple, stepping in plain integers.
+    """ab_class on an exact triple, stepping in plain integers.
 
     The radicands never change: gamma keeps a nonzero entry's radicand,
     and no zero entry is stepped. A step changes one entry of a triple
     with none zero, and a triple with exactly one zero entry is M3.
     """
     ks, ds = _coefficients(s)
+    if not (ks[0] > 0 and ks[1] > 0 and ks[2] > 0):
+        raise DomainError("ab_class requires a positive triple")
     t = s.pqr
     word: list[int] = []
     for iterations in itertools.count():
         flags = _exact_directions(ks, ds, t)
         count = sum(flags)
         if count == 3:
-            rep = _from_coefficients(ks, ds)
+            rep = _exact_triple(zip(ks, ds))
             return ABClass(ABKind.A, MutationPath(tuple(word)), iterations, representative=rep)
         if count < 2:
-            cur = _from_coefficients(ks, ds)
+            cur = _exact_triple(zip(ks, ds))
             raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
         if iterations >= cap:
-            last = _from_coefficients(ks, ds)
+            last = _exact_triple(zip(ks, ds))
             raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
         i = flags.index(False)
         t = _gamma_step(ks, ds, t, i)
@@ -336,7 +339,8 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
     modulo the period of the sequence, r = +-2 gives (+-1)**n (n + 1)
     directly, a wider exact r overflows 64 bits within about 90 steps,
     and a float r with n above CHEBYSHEV_FLOAT_CAP raises
-    IterationCapExceeded.
+    IterationCapExceeded. A float value that is not finite raises
+    OverflowLimitError.
     """
     if n < -2:
         raise DomainError(f"chebyshev_u requires n >= -2, got {n}")
@@ -358,6 +362,8 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
         return prev
     for _ in range(n + 1):
         prev, cur = cur, r * cur - prev
+    if isinstance(cur, float) and not math.isfinite(cur):
+        raise OverflowLimitError(f"u_{n}({r}) overflows the float range")
     return cur
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
+import math
 import sys
 from typing import Optional, Sequence, Union
 
@@ -54,9 +54,10 @@ def _parse_triple(text: str) -> TripleS:
         raise DomainError(f"expected three comma-separated entries, got {text!r}")
     if any("." in t or "e" in t.lower().replace("sqrt", "") for t in parts):
         try:
-            return TripleS.approx(*(float(t) for t in parts))
+            floats = [float(t) for t in parts]
         except ValueError as exc:
             raise DomainError(f"cannot parse float triple {text!r}") from exc
+        return TripleS.approx(*floats)
     return TripleS.parse(text)
 
 
@@ -66,13 +67,18 @@ def _parse_scalar(text: str) -> Union[Surd, float]:
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise DomainError(f"cannot parse {text!r} as a surd or float") from exc
+    if not math.isfinite(value):
+        raise DomainError(f"{text!r} is not a finite number")
+    return value
 
 
 def _emit(args, payload, lines: list[str]) -> int:
     if args.json:
+        import json
+
         print(json.dumps(payload))
     else:
         for line in lines:

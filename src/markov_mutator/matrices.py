@@ -19,17 +19,26 @@ Matrix mutation mu_k is the sign-dependent transformation
 an involution. The maps gamma_k below are given by fixed polynomial
 formulas; on cyclic matrices gamma_k = -mu_k, and the formulas are kept
 total so orbit code can apply them to anything.
+
+Exact triples are worked on in plain integers: entry i is
+ks[i] * sqrt(ds[i]) with a signed coefficient and a squarefree radicand,
+and t = pqr. The direction test (_exact_directions) and the gamma step
+(_gamma_step) work on (ks, ds, t) alone. _exact_triple is the one way
+from coefficients back to a TripleS: TripleS.parse feeds it the (k, d)
+pairs of surd._parse_kd, gamma_s and the exact descent feed it their
+results, and the public constructor hands it the coefficients of its
+Surd entries. It checks the 64-bit widths of the entries, computes pqr
+and raises NotInShat when pqr is not an integer.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import NotInShat, ProductMismatch, SignMismatch, ensure_int64
-from .surd import Surd, _render, _surd, surd_from_integer_square
+from .errors import NotInShat, OverflowLimitError, ProductMismatch, SignMismatch, ensure_int64
+from .surd import Surd, _parse_kd, _render, _surd, surd_from_integer_square
 from .value import Value
 
 __all__ = [
@@ -137,6 +146,8 @@ class MatM(Value):
         """Parse either 'x y z / x' y' z'' or a row-major 3x3 JSON matrix."""
         stripped = text.strip()
         if stripped.startswith("["):
+            import json
+
             try:
                 rows = json.loads(stripped)
             except RecursionError as exc:
@@ -158,25 +169,42 @@ class MatM(Value):
         return {"tuple": str(self), "entries": list(self.entries())}
 
 
-def _exact_product(p: Surd, q: Surd, r: Surd) -> tuple[int, int]:
-    """pqr in plain integers as (signed coefficient, squarefree radicand).
+def _exact_triple(pairs: Iterable[tuple[int, int]]) -> TripleS:
+    """The exact triple whose entries are k * sqrt(d) for three (k, d) pairs.
 
-    The radicands are multiplied one at a time with their gcd taken out,
-    as Surd multiplication does, but nothing is held to 64 bits.
+    Every d is squarefree. Each entry is built by surd._surd, which checks
+    its 64-bit widths, before the next pair is read, so a lazily parsed
+    entry fails in order. pqr is multiplied in plain integers, the
+    radicands one at a time with their gcd taken out as Surd
+    multiplication does, and nothing is held to 64 bits; a pqr that is
+    not an integer raises NotInShat.
     """
-    coeff, rad = 1, 1
-    for e in (p, q, r):
-        g = math.gcd(rad, e.radicand)
-        coeff *= e.k * g
-        rad = (rad // g) * (e.radicand // g)
-    return coeff, rad
+    entries = []
+    coeff = rad = 1
+    for k, d in pairs:
+        entries.append(_surd(k, d))
+        g = math.gcd(rad, d)
+        coeff *= k * g
+        rad = (rad // g) * (d // g)
+    p, q, r = entries
+    if coeff and rad != 1:
+        raise NotInShat(
+            f"pqr = {_render(coeff, rad)} is not an integer; ({p}, {q}, {r}) has no integer lift"
+        )
+    s = object.__new__(TripleS)
+    object.__setattr__(s, "p", p)
+    object.__setattr__(s, "q", q)
+    object.__setattr__(s, "r", r)
+    object.__setattr__(s, "pqr", coeff)
+    return s
 
 
 class TripleS(Value):
     """Ordered triple (p, q, r), exact (Surd entries) or float, never mixed.
 
     The exact backend requires integer entry squares by construction and
-    checks that pqr is an integer; the float backend accepts anything.
+    checks that pqr is an integer; the float backend accepts any finite
+    real numbers.
     The product is kept in pqr: an unbounded int for the exact backend,
     whose entries alone are held to 64 bits, and a float otherwise.
     Equality, the hash and repr read p, q and r only.
@@ -194,16 +222,14 @@ class TripleS(Value):
         if len(kinds) != 1:
             raise TypeError("triple entries must be all Surd or all float, not mixed")
         if kinds == {True}:
-            pqr, rad = _exact_product(p, q, r)
-            if pqr and rad != 1:
-                raise NotInShat(
-                    f"pqr = {_render(pqr, rad)} is not an integer; "
-                    f"({p}, {q}, {r}) has no integer lift"
-                )
+            exact = _exact_triple((e.k, e.radicand) for e in (p, q, r))
+            p, q, r, pqr = exact.p, exact.q, exact.r, exact.pqr
         else:
             for e in (p, q, r):
                 if not isinstance(e, (int, float)) or isinstance(e, bool):
                     raise TypeError(f"float-backend entry must be a real number, got {e!r}")
+                if not math.isfinite(e):
+                    raise ValueError(f"float-backend entry must be finite, got {e!r}")
             p, q, r = float(p), float(q), float(r)
             pqr = p * q * r
         object.__setattr__(self, "p", p)
@@ -243,7 +269,7 @@ class TripleS(Value):
         parts = text.split(",")
         if len(parts) != 3:
             raise ValueError(f"expected three comma-separated entries, got {text!r}")
-        return cls(*(Surd.parse(part.strip()) for part in parts))
+        return _exact_triple(_parse_kd(part.strip()) for part in parts)
 
     def to_json(self) -> dict:
         if self.backend == "exact":
@@ -336,17 +362,10 @@ def gamma_tuple(t: SixTuple, k: int) -> SixTuple:
 
 
 # -- exact triples in plain integers -----------------------------------
-#
-# Entry i of an exact triple is ks[i] * sqrt(ds[i]), with a signed
-# coefficient ks[i] and a squarefree radicand ds[i], and t = pqr.
 
 
 def _coefficients(s: TripleS) -> tuple[list[int], list[int]]:
     return [e.k for e in s.entries()], [e.radicand for e in s.entries()]
-
-
-def _from_coefficients(ks: Sequence[int], ds: Sequence[int]) -> TripleS:
-    return TripleS(*(_surd(k, d) for k, d in zip(ks, ds)))
 
 
 def _exact_directions(ks: Sequence[int], ds: Sequence[int], t: int) -> list[bool]:
@@ -376,8 +395,8 @@ def _gamma_step(ks: list[int], ds: Sequence[int], t: int, i: int) -> int:
     is (t // (ks[i] ds[i])) sqrt(ds[i]) by an exact division, so the new
     entry keeps radicand ds[i]. The new product is the product of the
     other two squares minus t. Nothing is held to 64 bits here: a descent
-    step only shrinks the entry, and _from_coefficients checks the width
-    of what gamma_s returns.
+    step only shrinks the entry, and _exact_triple checks the width of
+    what gamma_s returns.
     """
     k = ks[i]
     ks[i] = t // (k * ds[i]) - k
@@ -401,10 +420,10 @@ def gamma_s(s: TripleS, k: int) -> TripleS:
         raise ValueError(f"gamma index must be 1, 2 or 3, got {k}")
     i = k - 1
     entries = list(s.entries())
-    if s.backend == "exact" and entries[i].k:
+    if isinstance(s.p, Surd) and entries[i].k:
         ks, ds = _coefficients(s)
         _gamma_step(ks, ds, s.pqr, i)
-        return _from_coefficients(ks, ds)
+        return _exact_triple(zip(ks, ds))
     # Floats, and an exact zero entry, which takes the others' radicand.
     entries[i] = entries[i - 2] * entries[i - 1] - entries[i]
     return TripleS(*entries)
@@ -439,11 +458,17 @@ def markov_c_m_abs(m: MatM) -> int:
 
 
 def markov_c_s(s: TripleS):
-    """p^2 + q^2 + r^2 - pqr; an exact integer for the exact backend."""
+    """p^2 + q^2 + r^2 - pqr; an exact integer for the exact backend.
+
+    A float result that is not finite raises OverflowLimitError.
+    """
     p, q, r = s.entries()
-    if s.backend == "exact":
+    if isinstance(p, Surd):
         return p.square() + q.square() + r.square() - s.pqr
-    return p * p + q * q + r * r - s.pqr
+    c = p * p + q * q + r * r - s.pqr
+    if not math.isfinite(c):
+        raise OverflowLimitError(f"p^2 + q^2 + r^2 - pqr of ({s}) overflows the float range")
+    return c
 
 
 _PERMS = {

@@ -22,6 +22,7 @@ from markov_mutator.classify import (
     mk_class_matm,
     one_two_orbit,
 )
+from markov_mutator.enumeration import enumerate_m1
 from markov_mutator.errors import (
     INT64_MAX,
     DomainError,
@@ -41,6 +42,12 @@ from markov_mutator.matrices import (
 from markov_mutator.surd import Surd
 
 _pos = st.integers(min_value=1, max_value=9)
+
+# Every M1 representative with a constant in [-20, 4], all cluster-positive;
+# the infinite C = 4 family is cut at p^2 <= 100.
+M1_POOL = [
+    r.triple for c in range(-20, 5) for r in enumerate_m1(c, p_square_cap=100 if c == 4 else None)
+]
 
 
 @st.composite
@@ -233,6 +240,48 @@ def test_climb_with_product_past_64_bits_descends(n, word):
     assert out.kind is ABKind.A
     assert out.representative == base
     assert list(out.path) == list(reversed(word))
+
+
+@given(st.sampled_from(M1_POOL), st.lists(st.sampled_from([1, 2, 3]), max_size=8))
+def test_ab_class_matches_descent_step_loop(s, word):
+    """ab_class reaches what repeated public descent_step calls reach, by the same word."""
+    for k in word:
+        try:
+            s = gamma_s(s, k)
+        except OverflowLimitError:
+            break
+    out = ab_class(s)
+    path, end = [], s
+    while (step := descent_step(end)) is not None:
+        path.append(step[0])
+        end = step[1]
+    assert out.kind is ABKind.A
+    assert (list(out.path), out.iterations, out.representative) == (path, len(path), end)
+    assert out.representative.pqr == end.pqr
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1, 1, 1", "triple 1, 1, 1 is M3; the input was not cluster-positive"),
+        ("6, 3, 2", "triple 0, 3, 2 is M3; the input was not cluster-positive"),
+        ("-3, 3, 3", "ab_class requires a positive triple"),
+        ("0, 3, 3", "ab_class requires a positive triple"),
+    ],
+)
+def test_ab_class_domain_errors(text, message):
+    with pytest.raises(DomainError) as exc:
+        ab_class(TripleS.parse(text))
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == message
+
+
+def test_ab_class_cap_zero_keeps_the_input():
+    s = TripleS.parse("6, 15, 3")
+    with pytest.raises(IterationCapExceeded) as exc:
+        ab_class(s, cap=0)
+    assert str(exc.value) == "descent did not resolve within 0 steps"
+    assert exc.value.last == s and exc.value.last.pqr == s.pqr
 
 
 @given(shat_triples())

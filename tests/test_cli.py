@@ -291,6 +291,23 @@ def test_chebyshev_overflow_is_resource_error(capsys):
 # sweep
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["classify", "1e400, 2, 3"], 1, "error: float-backend entry must be finite, got inf\n"),
+        (["classify", "1e200, 2, 3"], 2,
+         "error: p^2 + q^2 + r^2 - pqr of (1e+200, 2.0, 3.0) overflows the float range\n"),
+        (["chebyshev", "5", "nan"], 1, "error: 'nan' is not a finite number\n"),
+        (["chebyshev", "5", "inf"], 1, "error: 'inf' is not a finite number\n"),
+        (["chebyshev", "5", "1e300"], 2, "error: u_5(1e+300) overflows the float range\n"),
+    ],
+    ids=["classify-1e400", "classify-1e200", "chebyshev-nan", "chebyshev-inf", "chebyshev-1e300"],
+)
+def test_non_finite_floats_are_errors(capsys, argv, code, message, fmt):
+    assert invoke(capsys, *argv, *fmt) == (code, "", message)
+
+
 def test_sweep_tally(capsys):
     payload = invoke_json(capsys, "sweep", "--max-entry", "3")
     assert payload == {
@@ -333,6 +350,24 @@ def test_large_prime_radicand_answers_within_deadline():
     done = run_module("chebyshev", "1", "sqrt(2305843009213693951)", timeout=20)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "sqrt(2305843009213693951)\n"
+
+
+def test_huge_prime_radicand_is_resource_error_within_deadline():
+    # a 31-digit prime: trial division up to its cube root takes about 10^10 steps
+    done = run_module("classify", "sqrt(1000000000000000000000000000057), 1, 1", timeout=20)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: surd radicand 1000000000000000000000000000057 exceeds the signed 64-bit range\n"
+    )
+
+
+def test_unsplittable_radicand_is_resource_error_within_deadline():
+    # the product of two 16-digit primes: rho needs far more than its budget to split it
+    done = run_module("classify", "sqrt(10000000000000431000000000002257), 1, 1", timeout=20)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: factoring the radicand part 10000000000000431000000000002257")
 
 
 def test_chebyshev_large_index_answers_within_deadline():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import markov_mutator
+from markov_mutator.enumeration import enumerate_m1
 from markov_mutator.errors import (
     NotInShat,
     OverflowLimitError,
@@ -183,19 +184,32 @@ def test_sk_examples():
     assert str(sk(MatM(-4, -1, -2, -1, -4, -2))) == "-2, -2, -2"
 
 
+def run_python(code, timeout=20):
+    """`python -c CODE` in a child process, with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(markov_mutator.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
 def test_sk_of_wide_columns_answers_within_deadline():
     # yy' = 3^3 * 541^2 * 179041139350883^2 is a 118-bit product: trial
     # division of it runs past the deadline, its two 64-bit factors do not
-    code = (
+    done = run_python(
         "from markov_mutator.matrices import MatM, sk; print(sk(MatM("
         "125442, 290583769166483109, 6949437250145, 209070, 871751307499449327, 1389887450029)))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(markov_mutator.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20
-    )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "41814*sqrt(15), 290583769166483109*sqrt(3), 1389887450029*sqrt(5)\n"
+
+
+def test_sk_of_64_bit_prime_columns_answers_within_deadline():
+    # q = 2^63 - 25 is prime: trial division up to its cube root took seconds per split
+    done = run_python(
+        "from markov_mutator.matrices import MatM, sk; q = 2**63 - 25; print(sk(MatM(q, q, 1, q, q, 1)))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "9223372036854775783, 9223372036854775783, 1\n"
 
 
 @given(valid_mats())
@@ -240,6 +254,66 @@ def test_triple_parse_and_str():
     assert str(s) == "5, 2*sqrt(5), sqrt(5)"
     with pytest.raises(ValueError):
         TripleS.parse("1, 2")
+
+
+def test_triple_parse_canonicalizes_entries():
+    s = TripleS.parse("2*sqrt(12), sqrt(3), 1")
+    assert s == TripleS.exact(Surd(4, 3), Surd(1, 3), Surd(1, 1))
+    assert str(s) == "4*sqrt(3), sqrt(3), 1"
+    assert s.pqr == 12
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("sqrt(2), 1, 1", NotInShat,
+         "pqr = sqrt(2) is not an integer; (sqrt(2), 1, 1) has no integer lift"),
+        ("1, 2x, 3", ValueError, "not a surd expression: '2x'"),
+        ("1, 2, sqrt(3", ValueError, "not a surd expression: 'sqrt(3'"),
+        ("1,2", ValueError, "expected three comma-separated entries, got '1,2'"),
+        ("9223372036854775808, 1, 1", OverflowLimitError,
+         "surd coefficient 9223372036854775808 exceeds the signed 64-bit range"),
+        ("sqrt(9223372036854775811), 1, 1", OverflowLimitError,
+         "surd radicand 9223372036854775811 exceeds the signed 64-bit range"),
+        # entries are read in order: a wide first entry fails before a malformed second
+        ("9223372036854775808, x, 1", OverflowLimitError,
+         "surd coefficient 9223372036854775808 exceeds the signed 64-bit range"),
+        ("x, 9223372036854775808, 1", ValueError, "not a surd expression: 'x'"),
+    ],
+)
+def test_triple_parse_errors(text, error, message):
+    with pytest.raises(error) as exc:
+        TripleS.parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+# Every M1 representative with a constant in [-20, 4]; the infinite C = 4
+# family is cut at p^2 <= 100.
+M1_POOL = [
+    r.triple for c in range(-20, 5) for r in enumerate_m1(c, p_square_cap=100 if c == 4 else None)
+]
+
+
+@st.composite
+def climbed_triples(draw):
+    """An M1 representative moved by a gamma word of length at most 8, then permuted."""
+    s = draw(st.sampled_from(M1_POOL))
+    for k in draw(st.lists(st.sampled_from([1, 2, 3]), max_size=8)):
+        try:
+            s = gamma_s(s, k)
+        except OverflowLimitError:
+            break
+    return permute(s, draw(st.permutations([1, 2, 3])))
+
+
+@given(climbed_triples())
+def test_parse_builds_what_the_constructor_builds(s):
+    text = str(s)
+    parsed = TripleS.parse(text)
+    built = TripleS(*(Surd.parse(part) for part in text.split(",")))
+    assert parsed == built == s
+    assert parsed.pqr == built.pqr == s.pqr
 
 
 def test_triple_json():

@@ -2,14 +2,19 @@ import math
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from markov_mutator import surd
 from markov_mutator.classify import ab_class, chebyshev_u, is_cluster_positive
 from markov_mutator.enumeration import enumerate_m1
-from markov_mutator.errors import OverflowLimitError, RadicandMismatch
-from markov_mutator.matrices import gamma_s
-from markov_mutator.surd import Surd, _squarefree_split, surd_from_integer_square
+from markov_mutator.errors import (
+    INT64_MAX,
+    IterationCapExceeded,
+    OverflowLimitError,
+    RadicandMismatch,
+)
+from markov_mutator.matrices import TripleS, gamma_s
+from markov_mutator.surd import Surd, _parse_kd, _squarefree_split, surd_from_integer_square
 
 SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 17, 19, 21, 23, 26, 29, 30]
 
@@ -200,6 +205,74 @@ def test_squarefree_split_matches_factorint(m):
     assert d == math.prod(p for p, e in factors.items() if e % 2)
 
 
+@st.composite
+def prime_shapes(draw):
+    """p, p^2, pq, p^3 or p^2 q below 2^64, every prime above the trial-division range."""
+
+    def prime(bits):
+        return sympy.prevprime(draw(st.integers(2 ** (bits - 1), 2**bits)))
+
+    shape = draw(st.sampled_from(["p", "p2", "pq", "p3", "p2q"]))
+    if shape == "p":
+        return prime(draw(st.integers(11, 64)))
+    if shape == "p2":
+        return prime(draw(st.integers(11, 32))) ** 2
+    if shape == "p3":
+        return prime(draw(st.integers(11, 21))) ** 3
+    if shape == "pq":
+        bits = draw(st.integers(11, 32))
+        return prime(bits) * prime(draw(st.integers(11, 64 - bits)))
+    bits = draw(st.integers(11, 21))
+    return prime(bits) ** 2 * prime(draw(st.integers(11, 64 - 2 * bits)))
+
+
+_P32 = sympy.prevprime(2**32)
+_P21 = sympy.prevprime(2**21)
+
+
+@settings(max_examples=40, deadline=5000)
+@given(prime_shapes())
+@example(2**64 - 59)
+@example(_P32 * _P32)
+@example(_P32 * sympy.prevprime(_P32))
+@example(_P21**3)
+@example(_P21 * _P21 * sympy.prevprime(2**22))
+def test_squarefree_split_of_64_bit_prime_shapes_matches_factorint(m):
+    k, d = _squarefree_split(m)
+    factors = sympy.factorint(m)
+    assert k == math.prod(p ** (e // 2) for p, e in factors.items())
+    assert d == math.prod(p for p, e in factors.items() if e % 2)
+
+
+def test_squarefree_split_past_the_rho_budget_raises(monkeypatch):
+    # two 30-bit primes: rho needs tens of thousands of squarings to separate them
+    m = sympy.prevprime(2**30) * sympy.prevprime(2**29)
+    monkeypatch.setattr(surd, "RHO_BUDGET", 1000)
+    with pytest.raises(IterationCapExceeded, match="needs more than 1000 Pollard-rho steps"):
+        _squarefree_split(m)
+    monkeypatch.undo()
+    assert _squarefree_split(m) == (1, m)
+
+
+@pytest.mark.parametrize(
+    "text, kd",
+    [
+        ("0", (0, 1)),
+        ("-0", (0, 1)),
+        ("0*sqrt(12)", (0, 1)),
+        ("-sqrt(0)", (0, 1)),
+        ("7", (7, 1)),
+        ("-3*sqrt(1)", (-3, 1)),
+        ("2*sqrt(12)", (4, 3)),
+        (" - 2 * sqrt( 8 ) ", (-4, 2)),
+        ("sqrt(4611686018427387904)", (2147483648, 1)),
+        ("sqrt(1000000000000000000000000000057)", (1, 1000000000000000000000000000057)),
+    ],
+)
+def test_parse_kd_splits_the_radicand(text, kd):
+    assert _parse_kd(text) == kd
+
+
 def assert_passes_public_validation(x):
     assert Surd(x.k, x.radicand) == x
 
@@ -213,16 +286,39 @@ def test_derived_surds_pass_public_validation(a, b, n):
         assert_passes_public_validation(x)
 
 
+def assert_entry_leaves_64_bits(s, k):
+    """The new entry of gamma_k(s), worked out by sympy, has a coefficient wider than 64 bits."""
+    p, q, r = (x.k * sympy.sqrt(x.radicand) for x in s.entries())
+    new = {1: q * r - p, 2: r * p - q, 3: p * q - r}[k]
+    coeff, _ = sympy.sqrt(sympy.expand(new**2)).as_coeff_Mul()
+    assert abs(coeff) > INT64_MAX
+
+
 @given(st.integers(-60, 3), st.data())
 def test_gamma_and_descent_results_pass_public_validation(c, data):
     s = data.draw(st.sampled_from(enumerate_m1(c))).triple
     for k in data.draw(st.lists(st.integers(1, 3), max_size=6)):
-        s = gamma_s(s, k)
+        try:
+            s = gamma_s(s, k)
+        except OverflowLimitError:
+            # a typed error, raised only when the climbed entry is truly too wide
+            assert_entry_leaves_64_bits(s, k)
+            break
         for x in s.entries():
             assert_passes_public_validation(x)
     if is_cluster_positive(s):
         for x in ab_class(s).representative.entries():
             assert_passes_public_validation(x)
+
+
+def test_gamma_overflow_is_raised_only_past_64_bits():
+    s = TripleS.parse("4*sqrt(5), 8, sqrt(5)")  # an M1 representative for C = -11
+    for k in (3, 1, 2, 3, 1):
+        s = gamma_s(s, k)
+    assert str(s) == "348857179520*sqrt(5), 37812, 9226097*sqrt(5)"
+    with pytest.raises(OverflowLimitError, match="surd coefficient 16092950886989629388"):
+        gamma_s(s, 2)
+    assert_entry_leaves_64_bits(s, 2)
 
 
 def test_derived_values_are_not_split_again(monkeypatch):
