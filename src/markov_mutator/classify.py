@@ -67,6 +67,7 @@ NOISE_BASIN = 1e-6
 NOISE_STEP = 1e-8
 NEGATIVE_SEARCH_CAP = 1_000_000
 CHEBYSHEV_FLOAT_CAP = 1_000_000
+SEQUENCE_TOL = 1e-9
 
 # Each r with r**2 <= 3 is 2 cos(2 pi j / P) for an integer j, so u_n(r) =
 # sin((n + 1) 2 pi j / P) / sin(2 pi j / P) has period P in n; keyed by r**2.
@@ -215,9 +216,8 @@ def is_cluster_positive(s: TripleS) -> bool:
 
     The float backend allows 1e-9 of slack on both bounds.
     """
-    if s.backend == "exact":
-        return all(e.k > 0 and e.square() >= 4 for e in s.entries()) and markov_c_s(s) <= 4
-    return all(e >= 2.0 - 1e-9 for e in s.entries()) and markov_c_s(s) <= 4.0 + 1e-9
+    slack = 1e-9 if s.backend == "float" else 0
+    return all(e >= 2 - slack for e in s.entries()) and markov_c_s(s) <= 4 + slack
 
 
 def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
@@ -330,6 +330,14 @@ def integer_fixed_points() -> frozenset[MatM]:
 # -- Chebyshev-like recursions ----------------------------------------
 
 
+def _recurrence(r, prev, cur):
+    """prev, cur and then each next term of x_{n+1} = r x_n - x_{n-1}, on either backend."""
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, r * cur - prev
+
+
 def chebyshev_u(n: int, r: Union[Surd, float]):
     """u_n(r) with u_{-2} = -1, u_{-1} = 0 and u_{n+1} = r u_n - u_{n-1}.
 
@@ -350,34 +358,18 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
             n = (n + 2) % _CHEBYSHEV_PERIODS[square] - 2
         elif square == 4:
             return Surd.from_int((r.sign if n % 2 else 1) * (n + 1))
-        prev, cur = Surd.from_int(-1), Surd.zero()
+        seeds = Surd.from_int(-1), Surd.zero()
     else:
         if n > CHEBYSHEV_FLOAT_CAP:
             raise IterationCapExceeded(
                 f"chebyshev_u on a float r takes n + 1 steps; n = {n} exceeds the cap of "
                 f"{CHEBYSHEV_FLOAT_CAP}"
             )
-        prev, cur = -1.0, 0.0
-    if n == -2:
-        return prev
-    for _ in range(n + 1):
-        prev, cur = cur, r * cur - prev
+        seeds = -1.0, 0.0
+    cur = next(itertools.islice(_recurrence(r, *seeds), n + 2, None))
     if isinstance(cur, float) and not math.isfinite(cur):
         raise OverflowLimitError(f"u_{n}({r}) overflows the float range")
     return cur
-
-
-def _f_pairs(s: TripleS):
-    """Yield (n, f_n) for n = -1, 0, 1, ... where f_{-1} = p, f_0 = q
-    and f_{n+1} = r f_n - f_{n-1}. Works for both backends."""
-    p, q, r = s.entries()
-    yield -1, p
-    prev, cur = p, q
-    n = 0
-    while True:
-        yield n, cur
-        prev, cur = cur, r * cur - prev
-        n += 1
 
 
 def one_two_orbit(s: TripleS, n: int) -> list[TripleS]:
@@ -385,19 +377,19 @@ def one_two_orbit(s: TripleS, n: int) -> list[TripleS]:
 
     Returns [s, gamma_1(s), gamma_2 gamma_1 (s), ...] with n applications,
     checking along the way that the k-th iterate equals
-    (f_{k-1}, f_k, r) for k even and (f_k, f_{k-1}, r) for k odd.
+    (f_{k-1}, f_k, r) for k even and (f_k, f_{k-1}, r) for k odd, where
+    f_{-1} = p, f_0 = q and f_{k+1} = r f_k - f_{k-1}.
     """
     if n < 0:
         raise DomainError(f"one_two_orbit requires n >= 0, got {n}")
     out = [s]
     cur = s
-    fs = _f_pairs(s)
-    f_prev = next(fs)[1]
-    f_cur = next(fs)[1]
+    fs = _recurrence(s.r, s.p, s.q)
+    f_prev, f_cur = next(fs), next(fs)
     for k in range(1, n + 1):
         cur = gamma_s(cur, 1 if k % 2 == 1 else 2)
         out.append(cur)
-        f_prev, f_cur = f_cur, next(fs)[1]
+        f_prev, f_cur = f_cur, next(fs)
         expected = (f_prev, f_cur, s.r) if k % 2 == 0 else (f_cur, f_prev, s.r)
         if s.backend == "exact":
             assert cur.entries() == expected, (k, cur, expected)
@@ -419,22 +411,19 @@ def find_negative_in_12_orbit(
     """
     if not s.is_positive():
         raise DomainError("find_negative_in_12_orbit requires a positive triple")
-    r = s.r
-    r_lt_2 = (r < Surd.from_int(2)) if isinstance(r, Surd) else (r < 2.0)
-    if not r_lt_2:
-        raise DomainError(f"requires r < 2, got r = {r}")
-    negative = (lambda v: v.k < 0) if s.backend == "exact" else (lambda v: v < 0.0)
-    for n, value in _f_pairs(s):
-        if n >= 1 and negative(value):
+    if not s.r < 2:
+        raise DomainError(f"requires r < 2, got r = {s.r}")
+    for n, value in enumerate(_recurrence(s.r, s.p, s.q), start=-1):
+        if n >= 1 and value < 0:
             return n, value
         if n >= cap:
             raise SearchBudgetExceeded(
-                f"no negative value within {cap} iterations; r = {r} should force one"
+                f"no negative value within {cap} iterations; r = {s.r} should force one"
             )
     raise AssertionError("unreachable")
 
 
-def analyze_12_sequence(s: TripleS, rel_tol: float = 1e-9) -> SequenceBehavior:
+def analyze_12_sequence(s: TripleS) -> SequenceBehavior:
     """Limit behavior of the alternating 1,2-orbit for float p, q, r >= 2.
 
     With r = 2 cosh(theta): constant iff r = 2 and p = q; tending to
@@ -445,11 +434,11 @@ def analyze_12_sequence(s: TripleS, rel_tol: float = 1e-9) -> SequenceBehavior:
     p, q, r = s.entries()
     if min(p, q, r) < 2.0 - 1e-12:
         raise DomainError(f"requires p, q, r >= 2, got ({p}, {q}, {r})")
-    if abs(r - 2.0) <= rel_tol * 2.0:
-        if abs(p - q) <= rel_tol * max(1.0, abs(p)):
+    if abs(r - 2.0) <= SEQUENCE_TOL * 2.0:
+        if abs(p - q) <= SEQUENCE_TOL * max(1.0, abs(p)):
             return SequenceBehavior.CONSTANT_EQUAL
         return SequenceBehavior.DIVERGES
     theta = math.acosh(r / 2.0)
-    if abs(q * math.exp(theta) - p) <= rel_tol * max(1.0, abs(p)):
+    if abs(q * math.exp(theta) - p) <= SEQUENCE_TOL * max(1.0, abs(p)):
         return SequenceBehavior.CONVERGES_TO_ZERO
     return SequenceBehavior.DIVERGES

@@ -40,7 +40,11 @@ from .orbits import (
 )
 from .surd import Surd
 
-__all__ = ["main", "run"]
+__all__ = ["SWEEP_CAP", "main", "run"]
+
+# The largest --max-entry sweep accepts: it holds all N**3 bottom rows and
+# classifies every matrix over them, and N = 20 takes about 2 s on a 2-core VM.
+SWEEP_CAP = 20
 
 _EPILOG = (
     f"default caps: breadth-first depth {DEFAULT_DEPTH}, "
@@ -243,6 +247,8 @@ def _sweep_counts(max_entry: int) -> tuple[int, int]:
 def _cmd_sweep(args) -> int:
     if args.max_entry < 1:
         raise DomainError(f"--max-entry must be at least 1, got {args.max_entry}")
+    if args.max_entry > SWEEP_CAP:
+        raise ResourceError(f"--max-entry {args.max_entry} exceeds SWEEP_CAP = {SWEEP_CAP}")
     cyc, acyc = _sweep_counts(args.max_entry)
     payload = {
         "max_entry": args.max_entry,

@@ -92,12 +92,8 @@ class MatM(Value):
         for name, a, b in (("x", x, xp), ("y", y, yp), ("z", z, zp)):
             if _sgn(a) != _sgn(b):
                 raise SignMismatch(f"column {name} mixes signs: ({a}, {b})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "xp", xp)
-        object.__setattr__(self, "yp", yp)
-        object.__setattr__(self, "zp", zp)
+        for slot, e in zip(MatM.__slots__, (x, y, z, xp, yp, zp)):
+            object.__setattr__(self, slot, e)
 
     def entries(self) -> SixTuple:
         return (self.x, self.y, self.z, self.xp, self.yp, self.zp)
@@ -232,10 +228,8 @@ class TripleS(Value):
                     raise ValueError(f"float-backend entry must be finite, got {e!r}")
             p, q, r = float(p), float(q), float(r)
             pqr = p * q * r
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "pqr", pqr)
+        for slot, e in zip(TripleS.__slots__, (p, q, r, pqr)):
+            object.__setattr__(self, slot, e)
 
     @classmethod
     def exact(cls, p: Surd, q: Surd, r: Surd) -> TripleS:
@@ -253,8 +247,6 @@ class TripleS(Value):
         return (self.p, self.q, self.r)
 
     def is_positive(self) -> bool:
-        if self.backend == "exact":
-            return all(e.k > 0 for e in self.entries())
         return all(e > 0 for e in self.entries())
 
     def as_floats(self) -> tuple[float, float, float]:

@@ -28,10 +28,10 @@ from .matrices import (
     MutationPath,
     SixTuple,
     TripleS,
+    _coefficients,
     _exact_directions,
     gamma_tuple,
     mutate_tuple,
-    permute,
 )
 
 __all__ = [
@@ -210,38 +210,28 @@ def lift_to_matm(s: TripleS) -> MatM:
 
     Requires the exact backend with positive entries, or exactly one
     zero entry among positives. Writing p = l sqrt(a), q = m sqrt(b),
-    r = n sqrt(c) with squarefree a, b, c, an integer product pqr forces
-    every prime of abc to appear in exactly two of a, b, c, so with
-    u = gcd(a, b), v = gcd(b, c), w = gcd(c, a):
+    r = n sqrt(c) with squarefree a, b, c, the integer product pqr that
+    every exact TripleS carries forces each prime of abc into exactly two
+    of a, b, c, so with u = gcd(a, b), v = gcd(b, c), w = gcd(c, a):
 
         M = (l u, m v, n w / l w, m u, n v).
 
-    With r = 0 the lift is (p^2, 1, 0 / 1, q^2, 0), and zeros elsewhere
-    are handled by permuting to that shape and back.
+    With one zero entry, the first nonzero entry's column is (its square,
+    1), the second's (1, its square) and the zero's (0, 0).
     """
     if s.backend != "exact":
         raise NotInShat("lift_to_matm requires the exact backend")
-    signs = [e.sign for e in s.entries()]
-    if any(sig < 0 for sig in signs):
+    if any(e < 0 for e in s.entries()):
         raise DomainError(f"lift_to_matm requires non-negative entries, got ({s})")
-    zeros = [i for i, sig in enumerate(signs) if sig == 0]
-    if len(zeros) > 1:
+    ks, ds = _coefficients(s)
+    if ks.count(0) > 1:
         raise DomainError(f"at most one zero entry is supported, got ({s})")
-    if len(zeros) == 1:
-        # move the zero to the last slot, lift, move back
-        rotations = {0: (2, 3, 1), 1: (1, 3, 2), 2: (1, 2, 3)}
-        sigma = rotations[zeros[0]]
-        rotated = permute(s, sigma)
-        p, q, _ = rotated.entries()
-        lifted = MatM(p.square(), 1, 0, 1, q.square(), 0)
-        inverse = tuple(sigma.index(i) + 1 for i in (1, 2, 3))
-        return permute(lifted, inverse)
-    p, q, r = s.entries()
-    a, b, c = p.radicand, q.radicand, r.radicand
-    u = math.gcd(a, b)
-    v = math.gcd(b, c)
-    w = math.gcd(c, a)
-    if a != u * w or b != u * v or c != v * w:
-        raise NotInShat(f"({s}) does not have an integer product pqr")
-    l, m, n = p.coeff, q.coeff, r.coeff
+    if 0 in ks:
+        first, second = (k * k * d for k, d in zip(ks, ds) if k)
+        columns = [(first, 1), (1, second)]
+        columns.insert(ks.index(0), (0, 0))
+        (x, xp), (y, yp), (z, zp) = columns
+        return MatM(x, y, z, xp, yp, zp)
+    (l, m, n), (a, b, c) = ks, ds
+    u, v, w = math.gcd(a, b), math.gcd(b, c), math.gcd(c, a)
     return MatM(l * u, m * v, n * w, l * w, m * u, n * v)

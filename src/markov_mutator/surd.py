@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
-from functools import total_ordering
 from typing import Any
 
 from .errors import INT64_MAX, INT64_MIN, IterationCapExceeded, RadicandMismatch, ensure_int64
@@ -95,6 +95,8 @@ def _prime_factors(n: int) -> dict[int, int]:
     _is_probable_prime and any other part is split by _rho_factor, all
     of whose calls share one RHO_BUDGET.
     """
+    if n > INT64_MAX**3:  # wider than k**2 * d of any surd: fail the width check
+        ensure_int64(n, "radicand part")
     found: dict[int, int] = {}
     budget = RHO_BUDGET
     parts = [n]
@@ -241,7 +243,24 @@ def _render(k: int, d: int) -> str:
     return f"{k}*sqrt({d})"
 
 
-@total_ordering
+def _comparison(op):
+    """The Surd method comparing sign(x) * x**2 of self and other by op, exactly: an int or
+    a finite float num / den as num * |num| against k * |k| * radicand * den**2."""
+
+    def compare(self: Surd, other: object) -> bool:
+        key = self.k * abs(self.k) * self.radicand
+        if isinstance(other, Surd):
+            return op(key, other.k * abs(other.k) * other.radicand)
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        if isinstance(other, float) and not math.isfinite(other):
+            return op(0, other)
+        num, den = other.as_integer_ratio()
+        return op(key * den * den, num * abs(num))
+
+    return compare
+
+
 class Surd(Value):
     """The real number k * sqrt(radicand).
 
@@ -337,10 +356,10 @@ class Surd(Value):
 
     # -- comparison --------------------------------------------------
 
-    def __lt__(self, other: Surd | int) -> bool:
-        if isinstance(other, int):
-            other = Surd.from_int(other)
-        return self.sign * self.square() < other.sign * other.square()
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
 
     def __float__(self) -> float:
         return self.k * math.sqrt(self.radicand)

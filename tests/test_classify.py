@@ -122,6 +122,31 @@ def test_cluster_cyclic_iff_sk_gate(m):
     assert ok == gate == is_cluster_positive(s)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("2, 2, 2", True),  # every entry and the constant on their bounds
+        ("3, 3, 3", True),
+        ("2*sqrt(2), 2*sqrt(2), 2", True),  # constant 8 + 8 + 4 - 16 = 4
+        ("sqrt(3), sqrt(3), 2", False),  # constant 4, entries below 2
+        ("-2, -2, 2", False),  # squares 4 and constant 4, but negative
+        ("2, 2, 3", False),  # constant 5
+        ("2, 2, 0", False),
+    ],
+)
+def test_cluster_positive_bounds_read_the_same_on_both_backends(text, expected):
+    s = TripleS.parse(text)
+    assert is_cluster_positive(s) is expected
+    assert is_cluster_positive(TripleS.approx(*s.as_floats())) is expected
+
+
+def test_cluster_positive_float_slack():
+    assert is_cluster_positive(TripleS.approx(2 - 1e-10, 2, 2))
+    assert is_cluster_positive(TripleS.approx(2, 2, 2 + 1e-10))  # constant 4 + 4e-10
+    assert not is_cluster_positive(TripleS.approx(2 - 1e-8, 2, 2))
+    assert not is_cluster_positive(TripleS.approx(2, 2, 2.0001))
+
+
 # -- M classes ---------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import markov_mutator
-from markov_mutator.cli import run
+from markov_mutator.cli import SWEEP_CAP, run
 
 
 def invoke(capsys, *argv):
@@ -321,6 +321,15 @@ def test_sweep_tally(capsys):
 def test_sweep_rejects_nonpositive_bound(capsys):
     code, out, err = invoke(capsys, "sweep", "--max-entry", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("max_entry", [SWEEP_CAP + 1, 10**9])
+def test_sweep_above_the_cap_is_resource_error_within_deadline(max_entry):
+    # without the cap, 10**9 holds 10**27 bottom rows and runs out of memory
+    done = run_module("sweep", "--max-entry", str(max_entry), timeout=20)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: --max-entry {max_entry} exceeds SWEEP_CAP = {SWEEP_CAP}\n"
 
 
 # plumbing

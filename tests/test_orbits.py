@@ -306,6 +306,21 @@ def test_lift_examples():
     z = TripleS.exact(Surd.from_int(2), Surd.from_int(3), Surd.zero())
     assert lift_to_matm(z) == MatM(4, 1, 0, 1, 9, 0)
 
+@pytest.mark.parametrize(
+    "text, lifted",
+    [
+        ("0, 2, 3", (0, 4, 1, 0, 1, 9)),
+        ("2, 0, 3", (4, 0, 1, 1, 0, 9)),
+        ("2, 3, 0", (4, 1, 0, 1, 9, 0)),
+        ("0, sqrt(2), 2*sqrt(3)", (0, 2, 1, 0, 1, 12)),
+        ("sqrt(2), 0, 2*sqrt(3)", (2, 0, 1, 1, 0, 12)),
+        ("sqrt(2), 2*sqrt(3), 0", (2, 1, 0, 1, 12, 0)),
+    ],
+)
+def test_lift_with_zero_in_each_position(text, lifted):
+    # the first nonzero column is (square, 1), the second (1, square), the zero (0, 0)
+    assert lift_to_matm(TripleS.parse(text)) == MatM(*lifted)
+
 
 def test_lift_rejects_float_backend():
     with pytest.raises(NotInShat):

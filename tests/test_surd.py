@@ -146,6 +146,67 @@ def test_ordering_examples():
     assert cmp(Surd.make(2, 3), Surd.make(2, 3)) == 0
 
 
+# (a, b, the sign of a - b): a Surd against an int, a float or a Surd at
+# equality, above and below, around zero and among negatives.
+ORDER_TABLE = [
+    (Surd.from_int(3), 3, 0),
+    (Surd.from_int(3), 2, 1),
+    (Surd.from_int(3), 4, -1),
+    (Surd.from_int(3), 3.0, 0),
+    (Surd.from_int(3), 2.5, 1),
+    (Surd.from_int(3), 3.5, -1),
+    (Surd.from_int(3), Surd.from_int(3), 0),
+    (Surd.zero(), 0, 0),
+    (Surd.zero(), 0.0, 0),
+    (Surd.zero(), -0.0, 0),
+    (Surd.zero(), 1, -1),
+    (Surd.zero(), -1, 1),
+    (Surd.zero(), 1e-300, -1),
+    (Surd.zero(), Surd.zero(), 0),
+    (Surd.from_int(-2), -2, 0),
+    (Surd.from_int(-2), -2.0, 0),
+    (Surd.from_int(-2), -1, -1),
+    (Surd.from_int(-2), -3, 1),
+    (Surd.from_int(-2), 0, -1),
+    (Surd.from_int(-2), 2, -1),
+    (Surd.make(1, 2), 1, 1),
+    (Surd.make(1, 2), 2, -1),
+    (Surd.make(1, 2), 1.414, 1),
+    (Surd.make(1, 2), 1.4142135623730951, -1),  # the nearest float lies above sqrt(2)
+    (Surd.make(1, 2), Surd.make(1, 3), -1),
+    (Surd.make(2, 3), 3, 1),
+    (Surd.make(2, 3), 4, -1),
+    (Surd.make(-2, 3), -3, -1),
+    (Surd.make(-2, 3), -4, 1),
+    (Surd.make(-1, 5), Surd.from_int(-2), -1),
+    (Surd.make(-1, 5), -2.2, -1),
+    (Surd.from_int(2**30 + 1), float(2**30 + 1), 0),  # x * x rounds down in floats
+    (Surd.from_int(2**30 + 1), float(2**30), 1),
+    (Surd.make(7, 2), math.inf, -1),
+    (Surd.make(-7, 2), -math.inf, 1),
+]
+
+
+@pytest.mark.parametrize("a, b, sign", ORDER_TABLE)
+def test_ordering_against_numbers_in_both_operand_orders(a, b, sign):
+    expect = (sign < 0, sign <= 0, sign > 0, sign >= 0)
+    assert (a < b, a <= b, a > b, a >= b) == expect
+    assert (b > a, b >= a, b < a, b <= a) == expect
+    assert (a == b) == (sign == 0 and isinstance(b, Surd))
+
+
+def test_equality_and_hash_stay_within_surd():
+    three = Surd.from_int(3)
+    assert not three == 3
+    assert three != 3.0
+    assert three <= 3 and three >= 3
+    assert hash(three) == hash(Surd.from_int(3))
+    with pytest.raises(TypeError):
+        three < "3"
+    nan = float("nan")
+    assert not (three < nan or three <= nan or three > nan or three >= nan)
+
+
 @given(surds, surds)
 def test_ordering_against_integer_cross_square(a, b):
     # independent oracle: compare signs first, then the exact integer squares
@@ -252,6 +313,18 @@ def test_squarefree_split_past_the_rho_budget_raises(monkeypatch):
         _squarefree_split(m)
     monkeypatch.undo()
     assert _squarefree_split(m) == (1, m)
+
+
+@pytest.mark.parametrize(
+    "radicand",
+    [sympy.nextprime(INT64_MAX**3), sympy.nextprime(10**100), int("7" * 4000)],
+    ids=["prime-above-ceiling", "prime-10^100", "4000-digits"],
+)
+def test_radicand_past_any_64_bit_surd_is_refused_at_once(radicand):
+    # k**2 * d <= INT64_MAX**3 for every storable surd; a wider radicand
+    # used to spend the whole rho budget, each step slower the wider it was
+    with pytest.raises(OverflowLimitError, match="radicand part"):
+        Surd.parse(f"sqrt({radicand})")
 
 
 @pytest.mark.parametrize(
