@@ -22,16 +22,16 @@ from .errors import (
     IterationCapExceeded,
     OverflowLimitError,
     SearchBudgetExceeded,
+    ensure_budget,
 )
 from .matrices import (
     CyclicityClass,
     MatM,
     MutationPath,
     TripleS,
-    _coefficients,
     _exact_directions,
-    _exact_triple,
     _gamma_step,
+    _triple,
     gamma_s,
     markov_c_m,
     markov_c_m_abs,
@@ -171,8 +171,8 @@ def _non_decreasing_directions(s: TripleS, rel_eps: float = 0.0) -> list[bool]:
     differences count as non-decreasing.
     """
     if s.backend == "exact":
-        return _exact_directions(*_coefficients(s), s.pqr)
-    p, q, r = s.entries()
+        return _exact_directions(s.ks, s.ds, s.pqr)
+    p, q, r = s.ks
     flags = []
     for own, prod in zip((p, q, r), (q * r, r * p, p * q)):
         slack = rel_eps * max(1.0, abs(prod))
@@ -183,8 +183,13 @@ def _non_decreasing_directions(s: TripleS, rel_eps: float = 0.0) -> list[bool]:
 def mk_class(s: TripleS, rel_eps: float = 0.0) -> MkClass:
     """M1, M2 or M3 by the number of non-decreasing gamma directions (3, 2, <=1).
 
-    Total in the entry signs: a triple with a non-positive entry counts
-    at most one non-decreasing direction and lands in M3.
+    Direction i is non-decreasing when 2 s_i <= the product of the other
+    two entries (on the float backend, up to a slack of rel_eps relative
+    to that product). The count applies this one test at every sign, so
+    the class is total, but it is the paper's class only on positive
+    triples. Elsewhere the count decides all the same: (0, 0, 0) and
+    (-2, -2, -2) count three directions and are M1, (0, 0, 3) counts two
+    and is M2, and (2, 3, -1) counts one and is M3.
     """
     return _CLASS_BY_COUNT[sum(_non_decreasing_directions(s, rel_eps))]
 
@@ -232,9 +237,11 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     noise-level M3 reading or an M2 step smaller than NOISE_STEP is
     taken as having reached the B limit. Classification runs first, so
     an exact-shape (p, p, 2) endpoint still comes back as M1 / class A.
-    Hitting the cap raises IterationCapExceeded with the last iterate.
+    Hitting the cap raises IterationCapExceeded with the last iterate; a
+    negative cap is a DomainError, and cap = 0 allows no step.
     """
-    if isinstance(s.p, Surd):
+    ensure_budget(cap, "cap")
+    if s.backend == "exact":
         return _ab_class_exact(s, cap)
     if not s.is_positive():
         raise DomainError("ab_class requires a positive triple")
@@ -275,24 +282,26 @@ def _ab_class_exact(s: TripleS, cap: int) -> ABClass:
 
     The radicands never change: gamma keeps a nonzero entry's radicand,
     and no zero entry is stepped. A step changes one entry of a triple
-    with none zero, and a triple with exactly one zero entry is M3.
+    with none zero, and a triple with exactly one zero entry is M3. Every
+    step shrinks the entry it changes, so the iterate that is returned or
+    carried by an error is stored as it stands, without a width check; a
+    representative reached in no step is s itself.
     """
-    ks, ds = _coefficients(s)
+    ks, ds, t = list(s.ks), s.ds, s.pqr
     if not (ks[0] > 0 and ks[1] > 0 and ks[2] > 0):
         raise DomainError("ab_class requires a positive triple")
-    t = s.pqr
     word: list[int] = []
     for iterations in itertools.count():
         flags = _exact_directions(ks, ds, t)
         count = sum(flags)
         if count == 3:
-            rep = _exact_triple(zip(ks, ds))
+            rep = _triple(tuple(ks), ds, t) if word else s
             return ABClass(ABKind.A, MutationPath(tuple(word)), iterations, representative=rep)
         if count < 2:
-            cur = _exact_triple(zip(ks, ds))
+            cur = _triple(tuple(ks), ds, t)
             raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
         if iterations >= cap:
-            last = _exact_triple(zip(ks, ds))
+            last = _triple(tuple(ks), ds, t)
             raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
         i = flags.index(False)
         t = _gamma_step(ks, ds, t, i)

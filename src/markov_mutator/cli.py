@@ -3,8 +3,10 @@
 Every subcommand is deterministic given its flags: same invocation,
 same bytes. `--json` switches from human-readable lines to JSON on
 stdout. Exit codes: 0 success, 1 domain errors (invalid input,
-out-of-scope values), 2 resource errors (overflow, caps) and usage
-errors.
+out-of-scope values, a negative --cap, --depth, --entry-bound or
+--p-square-cap), 2 resource errors (overflow, caps) and usage errors,
+and 141 (128 + SIGPIPE) when the reader closes stdout before the
+output ends.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 from typing import Optional, Sequence, Union
 
@@ -28,7 +31,7 @@ from .classify import (
     mk_class,
 )
 from .enumeration import enumerate_m1, surjectivity_witness
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, ensure_budget
 from .matrices import MatM, TripleS, markov_c_s
 from .orbits import (
     DEFAULT_DEPTH,
@@ -40,7 +43,14 @@ from .orbits import (
 )
 from .surd import Surd
 
-__all__ = ["SWEEP_CAP", "main", "run"]
+__all__ = ["EXIT_CLOSED_STDOUT", "SWEEP_CAP", "main", "run"]
+
+# The options that are budgets: each must be non-negative (errors.ensure_budget).
+_BUDGETS = ("cap", "depth", "entry_bound", "p_square_cap")
+
+# The exit code when stdout is closed early, as a shell reports a process
+# that SIGPIPE ends.
+EXIT_CLOSED_STDOUT = 141
 
 # The largest --max-entry sweep accepts: it holds all N**3 bottom rows and
 # classifies every matrix over them, and N = 20 takes about 2 s on a 2-core VM.
@@ -369,6 +379,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name in _BUDGETS:
+            value = getattr(args, name, None)
+            if value is not None:
+                ensure_budget(value, "--" + name.replace("_", "-"))
         return args.func(args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -379,7 +393,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone: the output ends here. stdout now points at
+        # the null device, so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

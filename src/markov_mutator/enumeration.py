@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, ensure_budget
 from .matrices import TripleS
 from .surd import surd_from_integer_square
 from .value import Value
@@ -137,8 +137,10 @@ def enumerate_m1(c_target: int, p_square_cap: int | None = None) -> list[M1Repre
     of the module docstring yields at most one candidate, the smaller
     Vieta root; the cost grows as about |c_target|^(4/3). A c_target below
     -ENUMERATION_CAP, or a p_square_cap above it for c_target = 4, raises
-    ResourceError.
+    ResourceError, and a negative p_square_cap raises DomainError.
     """
+    if p_square_cap is not None:
+        ensure_budget(p_square_cap, "p_square_cap")
     if c_target > 4:
         raise DomainError(f"no descent-minimal triples exist with constant {c_target} > 4")
     if c_target < -ENUMERATION_CAP:

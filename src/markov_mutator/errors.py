@@ -3,6 +3,9 @@
 Domain errors mean the input was mathematically out of scope; resource
 errors mean a configured bound (entry width, iteration cap, search
 budget) was hit. The CLI maps them to exit codes 1 and 2 respectively.
+A budget the caller passes (a descent cap, a search depth, an entry
+bound, a cap on p^2) is non-negative, and a negative one is a domain
+error, raised by ensure_budget.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "SearchBudgetExceeded",
     "SignMismatch",
     "ValidationError",
+    "ensure_budget",
     "ensure_int64",
 ]
 
@@ -93,4 +97,11 @@ def ensure_int64(value: int, context: str = "entry") -> int:
     """Return value unchanged if it fits in signed 64 bits, else raise."""
     if value < INT64_MIN or value > INT64_MAX:
         raise OverflowLimitError(f"{context} {value} exceeds the signed 64-bit range")
+    return value
+
+
+def ensure_budget(value: int, name: str) -> int:
+    """Return value unchanged if it is non-negative, else raise DomainError naming it."""
+    if value < 0:
+        raise DomainError(f"{name} must be non-negative, got {value}")
     return value

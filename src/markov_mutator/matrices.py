@@ -9,7 +9,8 @@ A matrix
 is recorded as the tuple M = (x, y, z, x', y', z'). Validity means
 xyz = x'y'z' and each of the pairs (x, x'), (y, y'), (z, z') shares a
 sign. The triple form carries (p, q, r) with p = sign(x) * sqrt(x x')
-and so on, either exactly (Surd entries) or approximately (floats).
+and so on, either exactly (entries k * sqrt(d)) or approximately
+(floats).
 
 Matrix mutation mu_k is the sign-dependent transformation
 
@@ -20,14 +21,18 @@ an involution. The maps gamma_k below are given by fixed polynomial
 formulas; on cyclic matrices gamma_k = -mu_k, and the formulas are kept
 total so orbit code can apply them to anything.
 
-Exact triples are worked on in plain integers: entry i is
-ks[i] * sqrt(ds[i]) with a signed coefficient and a squarefree radicand,
-and t = pqr. The direction test (_exact_directions) and the gamma step
-(_gamma_step) work on (ks, ds, t) alone. _exact_triple is the one way
-from coefficients back to a TripleS: TripleS.parse feeds it the (k, d)
-pairs of surd._parse_kd, gamma_s and the exact descent feed it their
-results, and the public constructor hands it the coefficients of its
-Surd entries. It checks the 64-bit widths of the entries, computes pqr
+An exact triple is held in plain integers and stores nothing else: ks,
+the signed coefficients, ds, the squarefree radicands (1 for a zero
+entry), and pqr, the unbounded integer product; entry i is
+ks[i] * sqrt(ds[i]). Its p, q and r are read-only properties that build
+a Surd when read, which only text, JSON, ordering and the Surd
+arithmetic of chebyshev_u and the 1,2-orbit do. The direction test
+(_exact_directions) and the gamma step (_gamma_step) work on
+(ks, ds, t = pqr) alone, and gamma_s and the exact descent hand their
+results to _triple, which stores them as given. _exact_triple is the
+checked way in: TripleS.parse feeds it the (k, d) pairs of
+surd._parse_kd and the public constructor the coefficients of its Surd
+entries. It checks the 64-bit widths of the entries, multiplies out pqr
 and raises NotInShat when pqr is not an integer.
 """
 
@@ -35,10 +40,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import NotInShat, OverflowLimitError, ProductMismatch, SignMismatch, ensure_int64
-from .surd import Surd, _parse_kd, _render, _surd, surd_from_integer_square
+from .surd import Surd, _check_widths, _parse_kd, _render, _surd, surd_from_integer_square
 from .value import Value
 
 __all__ = [
@@ -168,49 +174,65 @@ class MatM(Value):
 def _exact_triple(pairs: Iterable[tuple[int, int]]) -> TripleS:
     """The exact triple whose entries are k * sqrt(d) for three (k, d) pairs.
 
-    Every d is squarefree. Each entry is built by surd._surd, which checks
-    its 64-bit widths, before the next pair is read, so a lazily parsed
+    Every d is squarefree, and 1 where k is 0. The 64-bit widths of each
+    pair are checked before the next pair is read, so a lazily parsed
     entry fails in order. pqr is multiplied in plain integers, the
     radicands one at a time with their gcd taken out as Surd
     multiplication does, and nothing is held to 64 bits; a pqr that is
     not an integer raises NotInShat.
     """
-    entries = []
+    ks, ds = [], []
     coeff = rad = 1
     for k, d in pairs:
-        entries.append(_surd(k, d))
+        _check_widths(k, d)
+        ks.append(k)
+        ds.append(d)
         g = math.gcd(rad, d)
         coeff *= k * g
         rad = (rad // g) * (d // g)
-    p, q, r = entries
     if coeff and rad != 1:
+        entries = ", ".join(map(_render, ks, ds))
         raise NotInShat(
-            f"pqr = {_render(coeff, rad)} is not an integer; ({p}, {q}, {r}) has no integer lift"
+            f"pqr = {_render(coeff, rad)} is not an integer; ({entries}) has no integer lift"
         )
+    return _triple(tuple(ks), tuple(ds), coeff)
+
+
+def _triple(ks: tuple[int, ...], ds: tuple[int, ...], pqr: int) -> TripleS:
+    """The exact triple storing ks, ds and pqr, which the caller vouches for.
+
+    Nothing is checked; only the radicand of a zero entry is set to 1, so
+    that one value has one layout.
+    """
+    if 0 in ks:
+        ds = tuple(d if k else 1 for k, d in zip(ks, ds))
     s = object.__new__(TripleS)
-    object.__setattr__(s, "p", p)
-    object.__setattr__(s, "q", q)
-    object.__setattr__(s, "r", r)
-    object.__setattr__(s, "pqr", coeff)
+    object.__setattr__(s, "ks", ks)
+    object.__setattr__(s, "ds", ds)
+    object.__setattr__(s, "pqr", pqr)
     return s
 
 
 class TripleS(Value):
-    """Ordered triple (p, q, r), exact (Surd entries) or float, never mixed.
+    """Ordered triple (p, q, r), exact (entries k * sqrt(d)) or float, never mixed.
 
-    The exact backend requires integer entry squares by construction and
-    checks that pqr is an integer; the float backend accepts any finite
-    real numbers.
-    The product is kept in pqr: an unbounded int for the exact backend,
-    whose entries alone are held to 64 bits, and a float otherwise.
-    Equality, the hash and repr read p, q and r only.
+    An exact triple stores ks, its three signed integer coefficients, ds,
+    their squarefree radicands (1 for a zero entry), and pqr, the product
+    as an unbounded int; the entries alone are held to 64 bits. It has
+    integer entry squares by construction and an integer pqr, which
+    construction checks. A float triple stores its three finite floats in
+    ks, None in ds and their product in pqr; the backend is read off ds.
+    p, q and r are read-only properties: on an exact triple each builds
+    its Surd when read, on a float triple it is the stored float.
+    Equality and the hash read the stored entries (ks and ds) only; repr,
+    copy and pickle go through p, q and r.
     """
 
-    __slots__ = ("p", "q", "r", "pqr")
+    __slots__ = ("ks", "ds", "pqr")
     _fields = ("p", "q", "r")
-    p: Union[Surd, float]
-    q: Union[Surd, float]
-    r: Union[Surd, float]
+    _key = attrgetter("ks", "ds")
+    ks: Union[tuple[int, int, int], tuple[float, float, float]]
+    ds: Optional[tuple[int, int, int]]
     pqr: Union[int, float]
 
     def __init__(self, p: Union[Surd, float], q: Union[Surd, float], r: Union[Surd, float]) -> None:
@@ -219,17 +241,25 @@ class TripleS(Value):
             raise TypeError("triple entries must be all Surd or all float, not mixed")
         if kinds == {True}:
             exact = _exact_triple((e.k, e.radicand) for e in (p, q, r))
-            p, q, r, pqr = exact.p, exact.q, exact.r, exact.pqr
+            ks, ds, pqr = exact.ks, exact.ds, exact.pqr
         else:
             for e in (p, q, r):
                 if not isinstance(e, (int, float)) or isinstance(e, bool):
                     raise TypeError(f"float-backend entry must be a real number, got {e!r}")
                 if not math.isfinite(e):
                     raise ValueError(f"float-backend entry must be finite, got {e!r}")
-            p, q, r = float(p), float(q), float(r)
-            pqr = p * q * r
-        for slot, e in zip(TripleS.__slots__, (p, q, r, pqr)):
-            object.__setattr__(self, slot, e)
+            ks, ds = (float(p), float(q), float(r)), None
+            pqr = ks[0] * ks[1] * ks[2]
+        for slot, value in zip(TripleS.__slots__, (ks, ds, pqr)):
+            object.__setattr__(self, slot, value)
+
+    def _entry(self, i: int) -> Union[Surd, float]:
+        ds = self.ds
+        return self.ks[i] if ds is None else _surd(self.ks[i], ds[i])
+
+    p = property(lambda self: self._entry(0), doc="The first entry: a Surd, or a float.")
+    q = property(lambda self: self._entry(1), doc="The second entry: a Surd, or a float.")
+    r = property(lambda self: self._entry(2), doc="The third entry: a Surd, or a float.")
 
     @classmethod
     def exact(cls, p: Surd, q: Surd, r: Surd) -> TripleS:
@@ -241,13 +271,14 @@ class TripleS(Value):
 
     @property
     def backend(self) -> str:
-        return "exact" if isinstance(self.p, Surd) else "float"
+        return "float" if self.ds is None else "exact"
 
     def entries(self) -> tuple:
-        return (self.p, self.q, self.r)
+        ds = self.ds
+        return self.ks if ds is None else tuple(map(_surd, self.ks, ds))
 
     def is_positive(self) -> bool:
-        return all(e > 0 for e in self.entries())
+        return all(k > 0 for k in self.ks)
 
     def as_floats(self) -> tuple[float, float, float]:
         return tuple(float(e) for e in self.entries())
@@ -356,10 +387,6 @@ def gamma_tuple(t: SixTuple, k: int) -> SixTuple:
 # -- exact triples in plain integers -----------------------------------
 
 
-def _coefficients(s: TripleS) -> tuple[list[int], list[int]]:
-    return [e.k for e in s.entries()], [e.radicand for e in s.entries()]
-
-
 def _exact_directions(ks: Sequence[int], ds: Sequence[int], t: int) -> list[bool]:
     """For each entry i: is s_i <= gamma_i(s), i.e. 2 s_i <= the product of the others?
 
@@ -387,8 +414,8 @@ def _gamma_step(ks: list[int], ds: Sequence[int], t: int, i: int) -> int:
     is (t // (ks[i] ds[i])) sqrt(ds[i]) by an exact division, so the new
     entry keeps radicand ds[i]. The new product is the product of the
     other two squares minus t. Nothing is held to 64 bits here: a descent
-    step only shrinks the entry, and _exact_triple checks the width of
-    what gamma_s returns.
+    step only shrinks the entry, and gamma_s checks the width of the entry
+    it changes.
     """
     k = ks[i]
     ks[i] = t // (k * ds[i]) - k
@@ -411,12 +438,14 @@ def gamma_s(s: TripleS, k: int) -> TripleS:
     if k not in (1, 2, 3):
         raise ValueError(f"gamma index must be 1, 2 or 3, got {k}")
     i = k - 1
-    entries = list(s.entries())
-    if isinstance(s.p, Surd) and entries[i].k:
-        ks, ds = _coefficients(s)
-        _gamma_step(ks, ds, s.pqr, i)
-        return _exact_triple(zip(ks, ds))
+    ds = s.ds
+    if ds is not None and s.ks[i]:
+        ks = list(s.ks)
+        t = _gamma_step(ks, ds, s.pqr, i)
+        _check_widths(ks[i], ds[i])  # a climb can leave 64 bits
+        return _triple(tuple(ks), ds, t)
     # Floats, and an exact zero entry, which takes the others' radicand.
+    entries = list(s.entries())
     entries[i] = entries[i - 2] * entries[i - 1] - entries[i]
     return TripleS(*entries)
 
@@ -454,9 +483,10 @@ def markov_c_s(s: TripleS):
 
     A float result that is not finite raises OverflowLimitError.
     """
-    p, q, r = s.entries()
-    if isinstance(p, Surd):
-        return p.square() + q.square() + r.square() - s.pqr
+    ks, ds = s.ks, s.ds
+    if ds is not None:
+        return ks[0] * ks[0] * ds[0] + ks[1] * ks[1] * ds[1] + ks[2] * ks[2] * ds[2] - s.pqr
+    p, q, r = ks
     c = p * p + q * q + r * r - s.pqr
     if not math.isfinite(c):
         raise OverflowLimitError(f"p^2 + q^2 + r^2 - pqr of ({s}) overflows the float range")

@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     NotClusterCyclic,
     NotInShat,
+    ensure_budget,
 )
 from .classify import cyclicity, is_cluster_cyclic
 from .matrices import (
@@ -28,7 +29,6 @@ from .matrices import (
     MutationPath,
     SixTuple,
     TripleS,
-    _coefficients,
     _exact_directions,
     gamma_tuple,
     mutate_tuple,
@@ -174,10 +174,11 @@ def orbit_bfs(
 
     Words never repeat an index consecutively (each gamma_k is an
     involution). Branches that would exceed entry_bound in absolute
-    value are pruned and reported in the result.
+    value are pruned and reported in the result. A negative depth or
+    entry_bound is a DomainError.
     """
-    if depth < 0:
-        raise DomainError(f"depth must be non-negative, got {depth}")
+    ensure_budget(depth, "depth")
+    ensure_budget(entry_bound, "entry_bound")
     visited, pruned, _ = _bfs(m.entries(), depth, gamma_tuple, entry_bound)
     members = frozenset(MatM(*t) for t in visited)
     return OrbitBfsResult(members=members, pruned=pruned, depth=depth, entry_bound=entry_bound)
@@ -194,10 +195,11 @@ def mu_orbit_search_acyclic(
 
     Returns the first acyclic matrix found together with the word that
     reaches it (the input itself counts, with the empty word), or None
-    if every image within the depth and entry bound is cyclic.
+    if every image within the depth and entry bound is cyclic. A negative
+    depth or entry_bound is a DomainError.
     """
-    if depth < 0:
-        raise DomainError(f"depth must be non-negative, got {depth}")
+    ensure_budget(depth, "depth")
+    ensure_budget(entry_bound, "entry_bound")
     _, _, hit = _bfs(m.entries(), depth, mutate_tuple, entry_bound, stop_when=_is_acyclic_tuple)
     if hit is None:
         return None
@@ -221,9 +223,9 @@ def lift_to_matm(s: TripleS) -> MatM:
     """
     if s.backend != "exact":
         raise NotInShat("lift_to_matm requires the exact backend")
-    if any(e < 0 for e in s.entries()):
+    ks, ds = s.ks, s.ds
+    if any(k < 0 for k in ks):
         raise DomainError(f"lift_to_matm requires non-negative entries, got ({s})")
-    ks, ds = _coefficients(s)
     if ks.count(0) > 1:
         raise DomainError(f"at most one zero entry is supported, got ({s})")
     if 0 in ks:

@@ -12,8 +12,10 @@ a radicand that need not be squarefree, and _parse_kd, the one parser of
 the text grammar, turns a surd expression into the signed coefficient
 and squarefree radicand (k, d) with the same split. Surd.parse wraps
 that pair; TripleS.parse hands the three pairs straight to the triple
-builder. Values derived inside the package (products, differences,
-negations) go through _surd, which checks only the 64-bit widths.
+builder, which checks them with _check_widths. Values derived inside the
+package (products, differences, negations, and the entries an exact
+TripleS builds when read) go through _surd, which checks only the 64-bit
+widths.
 
 The split trial-divides by every f < 1000 while f**3 stays within the
 unfactored rest, which settles every radicand up to 10**9. A rest still
@@ -188,6 +190,14 @@ _SURD_RE = re.compile(
 )
 
 
+def _check_widths(k: int, d: int) -> None:
+    """Raise OverflowLimitError unless |k| and d both fit in signed 64 bits."""
+    if not -INT64_MAX <= k <= INT64_MAX:
+        ensure_int64(abs(k), "surd coefficient")
+    if not INT64_MIN <= d <= INT64_MAX:
+        ensure_int64(d, "surd radicand")
+
+
 def _surd(k: int, d: int) -> Surd:
     """k * sqrt(d) for a d the package already knows is squarefree.
 
@@ -195,10 +205,7 @@ def _surd(k: int, d: int) -> Surd:
     """
     if not k:
         d = 1
-    if not -INT64_MAX <= k <= INT64_MAX:
-        ensure_int64(abs(k), "surd coefficient")
-    if not INT64_MIN <= d <= INT64_MAX:
-        ensure_int64(d, "surd radicand")
+    _check_widths(k, d)
     s = object.__new__(Surd)
     object.__setattr__(s, "k", k)
     object.__setattr__(s, "radicand", d)

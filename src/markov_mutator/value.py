@@ -14,9 +14,10 @@ class Value:
     A subclass validates in __init__ and sets its slots there with
     object.__setattr__; any later assignment raises AttributeError.
     _fields, the inherited fields plus every slot the subclass adds unless
-    it names its own, are what equality, the hash and repr read; copying
-    and pickling pass them, in order, back to the validating constructor.
-    Instances of distinct classes never compare equal.
+    it names its own, are what repr reads; copying and pickling pass them,
+    in order, back to the validating constructor. _key, a getter of
+    _fields unless the subclass names its own, is what equality and the
+    hash read. Instances of distinct classes never compare equal.
     """
 
     __slots__ = ()
@@ -26,7 +27,8 @@ class Value:
         super().__init_subclass__()
         if "_fields" not in vars(cls):
             cls._fields = cls._fields + vars(cls).get("__slots__", ())
-        cls._key = attrgetter(*cls._fields)
+        if "_key" not in vars(cls):
+            cls._key = attrgetter(*cls._fields)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

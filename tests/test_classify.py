@@ -157,6 +157,11 @@ def test_mk_class_examples():
     # non-positive entry forces M3
     assert mk_class(TripleS.approx(2.0, 3.0, -1.0)) is MkClass.M3
     assert mk_class(TripleS.approx(1.0, 1.0, 0.0)) is MkClass.M3
+    # outside the positive cone the same count decides, on both backends
+    for make in (TripleS.parse, lambda text: TripleS.approx(*map(float, text.split(",")))):
+        assert mk_class(make("0, 0, 0")) is MkClass.M1
+        assert mk_class(make("-2, -2, -2")) is MkClass.M1
+        assert mk_class(make("0, 0, 3")) is MkClass.M2
 
 
 def test_mk_class_matm_examples():
@@ -292,6 +297,10 @@ def test_ab_class_matches_descent_step_loop(s, word):
         ("6, 3, 2", "triple 0, 3, 2 is M3; the input was not cluster-positive"),
         ("-3, 3, 3", "ab_class requires a positive triple"),
         ("0, 3, 3", "ab_class requires a positive triple"),
+        # the two largest squares tied: neither of their directions is non-decreasing
+        ("5, 5, 1", "triple 5, 5, 1 is M3; the input was not cluster-positive"),
+        ("2*sqrt(3), 2*sqrt(3), 1",
+         "triple 2*sqrt(3), 2*sqrt(3), 1 is M3; the input was not cluster-positive"),
     ],
 )
 def test_ab_class_domain_errors(text, message):
@@ -307,6 +316,34 @@ def test_ab_class_cap_zero_keeps_the_input():
         ab_class(s, cap=0)
     assert str(exc.value) == "descent did not resolve within 0 steps"
     assert exc.value.last == s and exc.value.last.pqr == s.pqr
+
+
+@pytest.mark.parametrize(
+    "s", [TripleS.parse("6, 15, 3"), TripleS.approx(2.5, 2.5, 2.5)], ids=["exact", "float"]
+)
+def test_ab_class_negative_cap_is_domain_error(s):
+    with pytest.raises(DomainError) as exc:
+        ab_class(s, cap=-1)
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == "cap must be non-negative, got -1"
+
+
+@given(st.sampled_from(M1_POOL), st.lists(st.sampled_from([1, 2, 3]), max_size=8))
+def test_cap_exceeded_carries_the_descent_step_iterate(s, word):
+    """With cap = n short of the descent, IterationCapExceeded.last is the n-th descent_step iterate."""
+    for k in word:
+        try:
+            s = gamma_s(s, k)
+        except OverflowLimitError:
+            break
+    trail = [s]
+    while (step := descent_step(trail[-1])) is not None:
+        trail.append(step[1])
+    for cap, reached in enumerate(trail[:-1]):
+        with pytest.raises(IterationCapExceeded) as exc:
+            ab_class(s, cap=cap)
+        last = exc.value.last
+        assert last == reached and hash(last) == hash(reached) and last.pqr == reached.pqr
 
 
 @given(shat_triples())

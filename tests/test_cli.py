@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import markov_mutator
-from markov_mutator.cli import SWEEP_CAP, run
+from markov_mutator.cli import EXIT_CLOSED_STDOUT, SWEEP_CAP, run
 
 
 def invoke(capsys, *argv):
@@ -332,6 +332,33 @@ def test_sweep_above_the_cap_is_resource_error_within_deadline(max_entry):
     assert done.stderr == f"error: --max-entry {max_entry} exceeds SWEEP_CAP = {SWEEP_CAP}\n"
 
 
+# budgets
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["classify", "6, 15, 3", "--cap", "-1"], "--cap", -1),
+        # a budget the command does not spend is refused all the same
+        (["classify", "1 1 1 / 1 1 1", "--cap", "-1"], "--cap", -1),
+        (["classify", "3 3 3 / 3 3 3", "--depth", "-1"], "--depth", -1),
+        (["orbit", "3 3 3 / 3 3 3", "--depth", "-1"], "--depth", -1),
+        (["orbit", "3 3 3 / 3 3 3", "--entry-bound", "-5"], "--entry-bound", -5),
+        (["enumerate", "--markov", "4", "--p-square-cap", "-3"], "--p-square-cap", -3),
+    ],
+    ids=["cap", "unused-cap", "unused-depth", "depth", "entry-bound", "p-square-cap"],
+)
+def test_negative_budgets_are_domain_errors(capsys, argv, flag, value, fmt):
+    assert invoke(capsys, *argv, *fmt) == (1, "", f"error: {flag} must be non-negative, got {value}\n")
+
+
+def test_cap_zero_allows_no_step(capsys):
+    assert invoke(capsys, "classify", "6, 15, 3", "--cap", "0") == (
+        2, "", "error: descent did not resolve within 0 steps\n"
+    )
+
+
 # plumbing
 
 
@@ -352,6 +379,32 @@ def test_module_entry_point_prints_readme_output():
         "products: 4 4 4\n"
         "fixed point: yes\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # about 127 kB: the write that fails is a print in mid-output
+        ["orbit", "3 3 3 / 3 3 3", "--depth", "60", "--entry-bound", "9223372036854775807"],
+        # seven lines: the write that fails is the final flush
+        ["fixed-points"],
+    ],
+    ids=["orbit", "fixed-points"],
+)
+def test_closed_stdout_ends_quietly(argv):
+    """A stdout whose reader has gone ends the output: no traceback, exit EXIT_CLOSED_STDOUT."""
+    env = dict(os.environ, PYTHONPATH=str(Path(markov_mutator.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the pipe fails with EPIPE
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "markov_mutator.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_CLOSED_STDOUT, "")
+    assert EXIT_CLOSED_STDOUT == 141
 
 
 def test_large_prime_radicand_answers_within_deadline():

@@ -87,8 +87,14 @@ def test_enumerate_refuses_work_past_the_cap():
         enumerate_m1(-ENUMERATION_CAP - 1)
     with pytest.raises(ResourceError, match="ENUMERATION_CAP"):
         enumerate_m1(4, p_square_cap=ENUMERATION_CAP + 1)
-    # below 4 the cap on p^2 only truncates, so any value is accepted
+    # below 4 the cap on p^2 only truncates, so any non-negative value is accepted
     assert len(enumerate_m1(0, p_square_cap=10**12)) == 4
+
+
+@pytest.mark.parametrize("c_target", [4, 0])
+def test_enumerate_negative_cap_is_domain_error(c_target):
+    with pytest.raises(DomainError, match=r"^p_square_cap must be non-negative, got -3$"):
+        enumerate_m1(c_target, p_square_cap=-3)
 
 
 def test_enumerate_cap_truncates_below_four():

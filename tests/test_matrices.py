@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import markov_mutator
+from markov_mutator.classify import ab_class
 from markov_mutator.enumeration import enumerate_m1
 from markov_mutator.errors import (
     NotInShat,
@@ -322,6 +323,43 @@ def test_triple_json():
     assert payload["text"] == "5, 2*sqrt(5), sqrt(5)"
     assert payload["entries"][1] == {"sign": 1, "coeff": 2, "radicand": 5}
     assert TripleS.approx(1.5, 2.0, 2.5).to_json() == {"entries": [1.5, 2.0, 2.5]}
+
+
+# -- the stored layout -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, above, k",
+    [("5, 2*sqrt(5), sqrt(5)", "5, 3*sqrt(5), sqrt(5)", 2), ("3, 3, 3", "6, 3, 3", 1)],
+)
+def test_exact_triple_built_four_ways_is_one_value(text, above, k):
+    """parse, the Surd constructor, gamma_s and the descent store one layout for one triple."""
+    parsed = TripleS.parse(text)
+    built = TripleS(*(Surd.parse(part) for part in text.split(",")))
+    stepped = gamma_s(TripleS.parse(above), k)
+    descended = ab_class(TripleS.parse(above)).representative
+    for s in (built, stepped, descended):
+        assert s == parsed and hash(s) == hash(parsed)
+        assert (s.ks, s.ds, s.pqr) == (parsed.ks, parsed.ds, parsed.pqr)
+    for s in (parsed, built, stepped, descended):
+        assert all(type(e) is Surd for e in (s.p, s.q, s.r))
+        assert (s.p, s.q, s.r) == s.entries() == built.entries()
+
+
+def test_a_zero_entry_is_stored_with_radicand_one():
+    s = gamma_s(TripleS.parse("2*sqrt(5), sqrt(5), 2"), 1)  # 2*sqrt(5) - 2*sqrt(5)
+    assert (s.ks, s.ds, s.pqr) == ((0, 1, 2), (1, 5, 1), 0)
+    zero = TripleS.parse("0, sqrt(5), 2")
+    assert s == zero and hash(s) == hash(zero)
+    assert str(s) == "0, sqrt(5), 2" and s.p == Surd.zero()
+
+
+def test_float_triple_keeps_its_floats_in_the_same_slots():
+    s = TripleS.approx(2.5, 2.0, 3)
+    assert (s.ks, s.ds, s.pqr) == ((2.5, 2.0, 3.0), None, 15.0)
+    assert (s.p, s.q, s.r) == s.entries() == (2.5, 2.0, 3.0)
+    assert s.backend == "float" and TripleS.parse("3, 3, 3").backend == "exact"
+    assert s != TripleS.parse("3, 2, 2") and TripleS.approx(3, 3, 3) != TripleS.parse("3, 3, 3")
 
 
 def test_gamma_s_and_markov_s():

@@ -209,6 +209,19 @@ def test_bfs_negative_depth_rejected():
         orbit_bfs(MatM(3, 3, 3, 3, 3, 3), depth=-1)
 
 
+@pytest.mark.parametrize("search", [orbit_bfs, mu_orbit_search_acyclic])
+@pytest.mark.parametrize(
+    "caps, message",
+    [({"depth": -1}, "depth must be non-negative, got -1"),
+     ({"entry_bound": -5}, "entry_bound must be non-negative, got -5")],
+    ids=["depth", "entry_bound"],
+)
+def test_searches_reject_negative_budgets(search, caps, message):
+    with pytest.raises(DomainError) as exc:
+        search(MatM(3, 3, 3, 3, 3, 3), **caps)
+    assert str(exc.value) == message
+
+
 def test_bfs_markov_orbit_depth_three():
     result = orbit_bfs(MatM(3, 3, 3, 3, 3, 3), depth=3, entry_bound=10**6)
     # 1 + 3 + 6 + 12 no-backtrack words, all images distinct

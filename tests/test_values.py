@@ -1,8 +1,8 @@
 """Value semantics of the package's records: equality and hashing by fields,
 immutability, keyword construction, repr and pickling.
 
-Surd, MatM, TripleS, MutationPath and M1Representative are validated
-classes on a shared immutable base; ABClass, CyclicityCertificate,
+Surd, MatM, TripleS (exact and float), MutationPath and M1Representative
+are validated classes on a shared immutable base; ABClass, CyclicityCertificate,
 OrbitReport and OrbitBfsResult are named tuples.
 """
 
@@ -38,6 +38,11 @@ CASES = {
         lambda: TripleS.parse("5, 2*sqrt(5), sqrt(5)"),
         lambda: TripleS.parse("3, 3, 3"),
     ),
+    "TripleS-float": (
+        ("p", "q", "r"),
+        lambda: TripleS.approx(2.5, 2.5, 2.5),
+        lambda: TripleS.approx(3.0, 3.0, 3.0),
+    ),
     "MutationPath": (("indices",), lambda: MutationPath((1, 2, 1)), lambda: MutationPath((1, 2))),
     "M1Representative": (
         ("triple", "squares", "markov"),
@@ -65,7 +70,7 @@ CASES = {
         lambda: orbit_bfs(MatM(3, 3, 3, 3, 3, 3), depth=1),
     ),
 }
-VALIDATED = ["Surd", "MatM", "TripleS", "MutationPath", "M1Representative"]
+VALIDATED = ["Surd", "MatM", "TripleS", "TripleS-float", "MutationPath", "M1Representative"]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -114,6 +119,19 @@ def test_copy_and_pickle_round_trip(name):
     a = CASES[name][1]()
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and hash(b) == hash(a) and type(b) is type(a)
+
+
+@pytest.mark.parametrize("name", ["TripleS", "TripleS-float"])
+def test_triple_stored_fields_are_read_only(name):
+    """Beside its entries, a triple's stored ks, ds and pqr refuse assignment and deletion."""
+    a = CASES[name][1]()
+    for field in ("ks", "ds", "pqr", "p"):
+        before = getattr(a, field)
+        with pytest.raises(AttributeError):
+            setattr(a, field, before)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert getattr(a, field) == before
 
 
 def test_duplicate_matrices_collapse_in_a_frozenset():
