@@ -8,6 +8,16 @@ many of the three gamma directions are entrywise non-decreasing (3,
 exactly 2, at most 1). Cluster-positive triples either descend to a
 unique M1 minimum (class A) or consist entirely of M2 elements whose
 descent tends to (2, 2, 2) (class B; only possible when C = 4).
+
+On C = 4, write each entry as 2 cosh(angle). With entries at least 2,
+C < 4, C = 4 and C > 4 say that the largest angle is below, equal to
+and above the sum of the other two. On C = 4 the decreasing gamma maps
+2 cosh(x + y) to 4 cosh x cosh y - 2 cosh(x + y) = 2 cosh(x - y), so
+the descent is the subtractive Euclidean algorithm on two angles: class
+A when their ratio is rational, with minimum (2 cosh g, 2 cosh g, 2) for
+their gcd g, and class B when it is irrational. The float descent on C =
+4 runs exactly this, with one resolution constant, ANGLE_RESOLUTION, for
+where an angle counts as zero.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .matrices import (
     TripleS,
     _exact_directions,
     _gamma_step,
+    _path,
     _triple,
     gamma_s,
     markov_c_m,
@@ -61,10 +72,10 @@ __all__ = [
 ]
 
 DESCENT_CAP = 10_000
-CONVERGENCE_TOL = 1e-9
 FLOAT_CLASS_EPS = 1e-12
-NOISE_BASIN = 1e-6
-NOISE_STEP = 1e-8
+ANGLE_RESOLUTION = 1e-9
+# The float slack of is_cluster_positive, on the entries and on C.
+_FLOAT_SLACK = 1e-9
 NEGATIVE_SEARCH_CAP = 1_000_000
 CHEBYSHEV_FLOAT_CAP = 1_000_000
 SEQUENCE_TOL = 1e-9
@@ -221,7 +232,7 @@ def is_cluster_positive(s: TripleS) -> bool:
 
     The float backend allows 1e-9 of slack on both bounds.
     """
-    slack = 1e-9 if s.backend == "float" else 0
+    slack = _FLOAT_SLACK if s.backend == "float" else 0
     return all(e >= 2 - slack for e in s.entries()) and markov_c_s(s) <= 4 + slack
 
 
@@ -231,12 +242,14 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     Exact backend: repeatedly apply the unique strictly-decreasing gamma
     while the triple is M2; the reached M1 element is the class A
     representative. (Over triples with integer squares the answer is
-    always A.) Float backend: same loop with tolerant comparisons;
-    convergence to (2, 2, 2) means class B. Near the limit, rounding
-    noise dominates: once every entry is within NOISE_BASIN of 2, a
-    noise-level M3 reading or an M2 step smaller than NOISE_STEP is
-    taken as having reached the B limit. Classification runs first, so
-    an exact-shape (p, p, 2) endpoint still comes back as M1 / class A.
+    always A.) Float backend: a triple with entries at least 2, up to
+    is_cluster_positive's slack, is on C = 4 when its largest angle is the
+    sum of the other two up to ANGLE_RESOLUTION times itself, plus the
+    spread: how far one ulp of each entry moves its angle (an entry near 2
+    holds a small angle a only to about 1e-16 / a). It then descends by
+    Euclid on its angles (_ab_class_angles). Any other float triple is off
+    C = 4, where class B cannot occur, and runs the exact loop with
+    comparisons slack by FLOAT_CLASS_EPS.
     Hitting the cap raises IterationCapExceeded with the last iterate; a
     negative cap is a DomainError, and cap = 0 allows no step.
     """
@@ -245,35 +258,64 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
         return _ab_class_exact(s, cap)
     if not s.is_positive():
         raise DomainError("ab_class requires a positive triple")
+    if min(s.ks) >= 2 - _FLOAT_SLACK:
+        angles = [math.acosh(max(e / 2, 1.0)) for e in s.ks]
+        spread = sum(
+            math.acosh(max(e / 2 + math.ulp(e) / 2, 1.0)) - a for e, a in zip(s.ks, angles)
+        )
+        lo, mid, hi = sorted(angles)
+        if abs(hi - mid - lo) <= ANGLE_RESOLUTION * hi + spread:
+            return _ab_class_angles(s, angles, cap)
     cur = s
     word: list[int] = []
     for iterations in itertools.count():
-        dist = max(abs(e - 2.0) for e in cur.entries())
-        if dist < CONVERGENCE_TOL:
-            return ABClass(ABKind.B, MutationPath(tuple(word)), iterations, limit=(2.0, 2.0, 2.0))
         flags = _non_decreasing_directions(cur, FLOAT_CLASS_EPS)
         count = sum(flags)
         if count == 3:
-            return ABClass(ABKind.A, MutationPath(tuple(word)), iterations, representative=cur)
+            return ABClass(ABKind.A, _path(tuple(word)), iterations, representative=cur)
         if count < 2:
-            if dist <= NOISE_BASIN:
-                return ABClass(
-                    ABKind.B, MutationPath(tuple(word)), iterations, limit=(2.0, 2.0, 2.0)
-                )
             raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
         if iterations >= cap:
             raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=cur)
-        i = flags.index(False)
-        if dist <= NOISE_BASIN:
-            p, q, r = cur.entries()
-            own = (p, q, r)[i]
-            prod = (q * r, r * p, p * q)[i]
-            if 2.0 * own - prod <= NOISE_STEP * max(1.0, prod):
-                return ABClass(
-                    ABKind.B, MutationPath(tuple(word)), iterations, limit=(2.0, 2.0, 2.0)
-                )
-        word.append(i + 1)
-        cur = gamma_s(cur, i + 1)
+        i = flags.index(False) + 1
+        word.append(i)
+        cur = gamma_s(cur, i)
+    raise AssertionError("unreachable")
+
+
+def _from_angles(angles: list[float]) -> TripleS:
+    """The float triple whose entries are 2 cosh(angle)."""
+    return TripleS.approx(*(2 * math.cosh(a) for a in angles))
+
+
+def _ab_class_angles(s: TripleS, angles: list[float], cap: int) -> ABClass:
+    """ab_class on a float triple on C = 4, given the angles of its entries.
+
+    Each step is one subtraction: the largest angle becomes the difference
+    of the other two, and its 1-based index goes into the word. Class B
+    when the middle angle is at most ANGLE_RESOLUTION times the largest
+    starting angle; class A when the smallest is at most ANGLE_RESOLUTION
+    times the middle one. Its representative is built from the angles with
+    the smallest set to 0, which puts exactly 2.0 in its place, and the
+    largest set to the middle one. The representative reached in no step,
+    and the iterate carried by IterationCapExceeded at cap = 0, is s
+    itself; after some steps it is built from the angles.
+    """
+    b_limit = ANGLE_RESOLUTION * max(angles)
+    word: list[int] = []
+    for iterations in itertools.count():
+        lo, mid, hi = sorted(range(3), key=angles.__getitem__)
+        if angles[mid] <= b_limit:
+            return ABClass(ABKind.B, _path(tuple(word)), iterations, limit=(2.0, 2.0, 2.0))
+        if angles[lo] <= ANGLE_RESOLUTION * angles[mid]:
+            angles[lo], angles[hi] = 0.0, angles[mid]
+            rep = _from_angles(angles) if word else s
+            return ABClass(ABKind.A, _path(tuple(word)), iterations, representative=rep)
+        if iterations >= cap:
+            last = _from_angles(angles) if word else s
+            raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
+        angles[hi] = angles[mid] - angles[lo]
+        word.append(hi + 1)
     raise AssertionError("unreachable")
 
 
@@ -296,7 +338,7 @@ def _ab_class_exact(s: TripleS, cap: int) -> ABClass:
         count = sum(flags)
         if count == 3:
             rep = _triple(tuple(ks), ds, t) if word else s
-            return ABClass(ABKind.A, MutationPath(tuple(word)), iterations, representative=rep)
+            return ABClass(ABKind.A, _path(tuple(word)), iterations, representative=rep)
         if count < 2:
             cur = _triple(tuple(ks), ds, t)
             raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")

@@ -29,7 +29,8 @@ a Surd when read, which only text, JSON, ordering and the Surd
 arithmetic of chebyshev_u and the 1,2-orbit do. The direction test
 (_exact_directions) and the gamma step (_gamma_step) work on
 (ks, ds, t = pqr) alone, and gamma_s and the exact descent hand their
-results to _triple, which stores them as given. _exact_triple is the
+results to _triple, which stores them as given; the descents likewise
+hand their words, valid by construction, to _path. _exact_triple is the
 checked way in: TripleS.parse feeds it the (k, d) pairs of
 surd._parse_kd and the public constructor the coefficients of its Surd
 entries. It checks the 64-bit widths of the entries, multiplies out pqr
@@ -211,6 +212,14 @@ def _triple(ks: tuple[int, ...], ds: tuple[int, ...], pqr: int) -> TripleS:
     object.__setattr__(s, "ds", ds)
     object.__setattr__(s, "pqr", pqr)
     return s
+
+
+def _path(indices: tuple[int, ...]) -> MutationPath:
+    """The path storing indices, which the caller vouches for: a descent word,
+    valid by construction. Nothing is checked."""
+    path = object.__new__(MutationPath)
+    object.__setattr__(path, "indices", indices)
+    return path
 
 
 class TripleS(Value):

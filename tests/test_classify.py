@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from markov_mutator.classify import (
     CHEBYSHEV_FLOAT_CAP,
@@ -360,12 +360,18 @@ def test_ab_class_float_shapes():
     out = ab_class(TripleS.approx(3.5, 3.5, 2.0))
     assert out.kind is ABKind.A  # exact (p, p, 2) shape is M1
 
+    # off C = 4 the float loop runs: the exact example's word and minimum
+    out = ab_class(TripleS.approx(6.0, 15.0, 3.0))
+    assert (out.kind, list(out.path), out.representative) == (
+        ABKind.A, [2, 1], TripleS.approx(3.0, 3.0, 3.0)
+    )
+
+    # acosh(1.025) / acosh(1.05) is irrational: the angle descent reaches case B
     q, r = 2.05, 2.1
     p = (q * r + math.sqrt((q * q - 4) * (r * r - 4))) / 2
     out = ab_class(TripleS.approx(p, q, r))
-    assert out.kind in (ABKind.A, ABKind.B)
-    if out.kind is ABKind.B:
-        assert out.limit == (2.0, 2.0, 2.0)
+    assert out.kind is ABKind.B
+    assert out.limit == (2.0, 2.0, 2.0) and out.representative is None
 
 
 def test_ab_class_rejects_non_cluster_positive():
@@ -385,6 +391,90 @@ def test_ab_class_iteration_cap():
     with pytest.raises(IterationCapExceeded) as exc:
         ab_class(TripleS.parse("6, 15, 3"), cap=1)
     assert exc.value.last == TripleS.parse("6, 3, 3")
+
+
+def c4_triple(angles):
+    """The float triple (2 cosh a) for angles a, on C = 4 when one angle is the sum of the others."""
+    return TripleS.approx(*(2 * math.cosh(a) for a in angles))
+
+
+def integer_angle_descent(angles):
+    """The angle descent on integer angles (m, n, m + n) in some order.
+
+    While no angle is 0, the largest becomes the difference of the other
+    two and its 1-based index is written down. Returns the word and the
+    trail of iterates; the last holds a 0 and, twice, the gcd of m and n.
+    """
+    trail, word = [list(angles)], []
+    while 0 not in trail[-1]:
+        cur = list(trail[-1])
+        hi = cur.index(max(cur))
+        x, y = (a for i, a in enumerate(cur) if i != hi)
+        cur[hi] = abs(x - y)
+        word.append(hi + 1)
+        trail.append(cur)
+    return word, trail
+
+
+@st.composite
+def rational_c4_angles(draw):
+    """Integer angles (m, n, m + n) in any order and a scale g keeping each entry finite.
+
+    g stays at least 0.02: an entry 2 cosh(a) holds a small angle a only to
+    about 1e-16 / a**2 relative, and a smaller g would blur the ratio before
+    the descent reads it.
+    """
+    m, n = draw(st.integers(1, 1000)), draw(st.integers(1, 1000))
+    ints = draw(st.permutations([m, n, m + n]))
+    return ints, draw(st.floats(0.02, 700 / (m + n)))
+
+
+@settings(deadline=200)  # ms; the longest word, for 1000 : 1, takes about 1 ms
+@given(rational_c4_angles())
+def test_ab_class_float_c4_is_euclid_on_angles(case):
+    """Rational angle ratios give case A with the integer Euclid word and minimum (2 cosh gcd*g, ., 2)."""
+    ints, g = case
+    word, trail = integer_angle_descent(ints)
+    zero, gcd = trail[-1].index(0), max(trail[-1])
+    out = ab_class(c4_triple([k * g for k in ints]))
+    assert out.kind is ABKind.A and out.limit is None
+    assert (list(out.path), out.iterations) == (word, len(word))
+    expected = [2.0 if i == zero else 2 * math.cosh(gcd * g) for i in range(3)]
+    assert out.representative.entries()[zero] == 2.0
+    for got, want in zip(out.representative.entries(), expected):
+        assert math.isclose(got, want, rel_tol=1e-9)
+
+
+# Past ANGLE_RESOLUTION the last partial quotients of an irrational ratio are
+# read from rounding noise and follow the Gauss-Kuzmin law, so a few inputs
+# in 10**4 meet one longer than the default cap; this test allows 10**6 steps.
+@settings(deadline=2000)  # ms; 10**6 steps take about 1 s
+@given(
+    st.sampled_from([(1 + 5**0.5) / 2, 2**0.5, math.e, math.pi]),
+    st.floats(0.02, 150.0),
+    st.permutations([0, 1, 2]),
+)
+def test_ab_class_float_c4_irrational_ratio_is_b(x, g, order):
+    angles = [x * g, g, (x + 1) * g]
+    out = ab_class(c4_triple([angles[i] for i in order]), cap=10**6)
+    assert out.kind is ABKind.B
+    assert out.limit == (2.0, 2.0, 2.0) and out.representative is None
+
+
+def test_ab_class_float_c4_cap_carries_the_angle_iterate():
+    """With cap = n short of the word, IterationCapExceeded.last holds the angles after n steps."""
+    g = 0.2
+    word, trail = integer_angle_descent([16, 11, 5])
+    s = c4_triple([k * g for k in trail[0]])
+    for cap, reached in enumerate(trail[:-1]):
+        with pytest.raises(IterationCapExceeded) as exc:
+            ab_class(s, cap=cap)
+        last = exc.value.last
+        if cap == 0:
+            assert last == s
+        for got, want in zip(last.entries(), c4_triple([k * g for k in reached]).entries()):
+            assert math.isclose(got, want, rel_tol=1e-12)
+    assert list(ab_class(s).path) == word
 
 
 def surd_flags(s):

@@ -125,6 +125,32 @@ def test_classify_float_triple(capsys):
     assert payload["ab"]["kind"] == "A"
 
 
+# Float triples on C = 4 whose angles, with entries 2 cosh(angle), stand in
+# rational ratios; each once raised a false M3 error or spent the whole cap.
+C4_RATIONAL_TRIPLES = [
+    # angle ratio 5/12
+    ("22.841707443465527, 83.89663779247317, 3.951278127330146", 6, [2, 1, 2, 3, 2, 1]),
+    # angles 16 : 11 : 5
+    ("34.931878469586444, 11.58754136566902, 3.3644070746232444", 7, [1, 2, 1, 3, 1, 3, 1]),
+    # angles 90 : 60 : 30, whose float C - 4 reads -4
+    ("1.2204032943178408e+39, 1.1420073898156842e+26, 10686474581524.463", 2, [1, 2]),
+]
+
+
+@pytest.mark.parametrize("triple, steps, path", C4_RATIONAL_TRIPLES)
+def test_classify_float_c4_rational_angles_is_case_a(capsys, triple, steps, path):
+    code, out, err = invoke(capsys, "classify", triple)
+    assert (code, err) == (0, "")
+    assert "cluster positive: yes" in out
+    assert f"case: A after {steps} descent steps" in out
+    assert "path: " + " ".join(map(str, path)) in out
+    payload = invoke_json(capsys, "classify", triple)
+    assert payload["cluster_positive"] is True
+    ab = payload["ab"]
+    assert (ab["kind"], ab["iterations"], ab["path"]) == ("A", steps, path)
+    assert "2.0" in ab["representative"].split(", ")
+
+
 def test_classify_non_gated_triple_has_no_descent(capsys):
     payload = invoke_json(capsys, "classify", "1, 1, 1")
     assert payload["cluster_positive"] is False

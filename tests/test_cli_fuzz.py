@@ -6,6 +6,7 @@ JSON, without NaN or Infinity."""
 import contextlib
 import io
 import json
+import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -106,8 +107,30 @@ lifted_triples = st.builds(
         *[ints] * 3, *[st.integers(1, 6) | st.sampled_from([2**31 - 1, 2**32 - 5])] * 3,
     ),
 )
+
+
+def _c4_text(pair, scale, order):
+    """A float triple on C = 4: 2 cosh of the angles (a g, b g, (a + b) g) in
+    the given order, where g is scale times 300 / (a + b). The largest angle
+    is then at most 300, so the squares and the product of the entries stay
+    finite and the descent runs."""
+    a, b = pair
+    g = scale * 300 / (a + b)
+    angles = (a * g, b * g, (a + b) * g)
+    return ", ".join(repr(2 * math.cosh(angles[i])) for i in order)
+
+
+# Rational angle ratios descend to case A; irrational ones reach case B.
+c4_triples = st.builds(
+    _c4_text,
+    st.tuples(st.integers(1, 1000), st.integers(1, 1000))
+    | st.sampled_from([((1 + 5**0.5) / 2, 1.0), (2**0.5, 1.0), (math.e, 1.0), (math.pi, 1.0)]),
+    st.floats(1e-6, 1.0),
+    st.permutations(range(3)),
+)
 triples = st.one_of(
     lifted_triples,
+    c4_triples,
     st.lists(surds, min_size=3, max_size=3).map(", ".join),
     st.lists(floats, min_size=3, max_size=3).map(", ".join),
     st.lists(surds | floats, min_size=2, max_size=4).map(", ".join),
