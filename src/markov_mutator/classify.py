@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -179,14 +180,15 @@ def _non_decreasing_directions(s: TripleS, rel_eps: float = 0.0) -> list[bool]:
 
     The exact backend decides in plain integers (matrices._exact_directions). The
     float backend accepts a relative epsilon so that noise-level
-    differences count as non-decreasing.
+    differences count as non-decreasing; with rel_eps = 0 there is no
+    slack, even on a product that overflows to inf.
     """
     if s.backend == "exact":
         return _exact_directions(s.ks, s.ds, s.pqr)
     p, q, r = s.ks
     flags = []
     for own, prod in zip((p, q, r), (q * r, r * p, p * q)):
-        slack = rel_eps * max(1.0, abs(prod))
+        slack = rel_eps * max(1.0, abs(prod)) if rel_eps else 0.0
         flags.append(own * 2 <= prod + slack)
     return flags
 
@@ -297,9 +299,11 @@ def _ab_class_angles(s: TripleS, angles: list[float], cap: int) -> ABClass:
     starting angle; class A when the smallest is at most ANGLE_RESOLUTION
     times the middle one. Its representative is built from the angles with
     the smallest set to 0, which puts exactly 2.0 in its place, and the
-    largest set to the middle one. The representative reached in no step,
-    and the iterate carried by IterationCapExceeded at cap = 0, is s
-    itself; after some steps it is built from the angles.
+    largest set to the middle one, so it is M1. The representative reached
+    in no step is s itself when s is M1; an s whose two larger angles
+    differ within the routing slack can be M2, and then it too is built
+    from the angles. The iterate carried by IterationCapExceeded is s at
+    cap = 0 and built from the angles after some steps.
     """
     b_limit = ANGLE_RESOLUTION * max(angles)
     word: list[int] = []
@@ -309,7 +313,7 @@ def _ab_class_angles(s: TripleS, angles: list[float], cap: int) -> ABClass:
             return ABClass(ABKind.B, _path(tuple(word)), iterations, limit=(2.0, 2.0, 2.0))
         if angles[lo] <= ANGLE_RESOLUTION * angles[mid]:
             angles[lo], angles[hi] = 0.0, angles[mid]
-            rep = _from_angles(angles) if word else s
+            rep = s if not word and all(_non_decreasing_directions(s)) else _from_angles(angles)
             return ABClass(ABKind.A, _path(tuple(word)), iterations, representative=rep)
         if iterations >= cap:
             last = _from_angles(angles) if word else s
@@ -417,7 +421,9 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
                 f"{CHEBYSHEV_FLOAT_CAP}"
             )
         seeds = -1.0, 0.0
-    cur = next(itertools.islice(_recurrence(r, *seeds), n + 2, None))
+    # Only a wide exact r is walked for an n past sys.maxsize, the most islice
+    # can skip, and it overflows 64 bits within about 90 steps.
+    cur = next(itertools.islice(_recurrence(r, *seeds), min(n + 2, sys.maxsize), None))
     if isinstance(cur, float) and not math.isfinite(cur):
         raise OverflowLimitError(f"u_{n}({r}) overflows the float range")
     return cur

@@ -6,7 +6,9 @@ stdout. Exit codes: 0 success, 1 domain errors (invalid input,
 out-of-scope values, a negative --cap, --depth, --entry-bound or
 --p-square-cap), 2 resource errors (overflow, caps) and usage errors,
 and 141 (128 + SIGPIPE) when the reader closes stdout before the
-output ends.
+output ends. run maps the two roots of errors.py, DomainError and
+ResourceError, to exits 1 and 2 and catches nothing else, so an
+exception of any other type is a bug and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _parse_triple(text: str) -> TripleS:
 def _parse_scalar(text: str) -> Union[Surd, float]:
     try:
         return Surd.parse(text)
-    except ValueError:
+    except DomainError:
         pass
     try:
         value = float(text)
@@ -384,7 +386,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             if value is not None:
                 ensure_budget(value, "--" + name.replace("_", "-"))
         return args.func(args)
-    except (DomainError, ValueError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceError as exc:

@@ -1,11 +1,17 @@
 """Error hierarchy and the checked 64-bit storage bound.
 
-Domain errors mean the input was mathematically out of scope; resource
-errors mean a configured bound (entry width, iteration cap, search
-budget) was hit. The CLI maps them to exit codes 1 and 2 respectively.
-A budget the caller passes (a descent cap, a search depth, an entry
-bound, a cap on p^2) is non-negative, and a negative one is a domain
-error, raised by ensure_budget.
+Every failure the package raises on purpose is a MarkovMutatorError, and
+each is one of two kinds. A DomainError means the input was malformed or
+mathematically out of scope: text that does not parse, a matrix that
+fails its invariants, a triple outside the class an operation needs.
+A ResourceError means a configured bound (entry width, float range,
+iteration cap, search budget) was hit. The CLI maps the two to exit codes
+1 and 2 and catches nothing else, so any other exception is a bug and
+shows as one. DomainError is also a ValueError, so code that catches
+ValueError around a parse keeps working; a value of the wrong Python type
+stays a TypeError. A budget the caller passes (a descent cap, a search
+depth, an entry bound, a cap on p^2) is non-negative, and a negative one
+is a domain error, raised by ensure_budget.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ class MarkovMutatorError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class DomainError(MarkovMutatorError):
-    """The request is well-formed but its data is out of domain."""
+class DomainError(MarkovMutatorError, ValueError):
+    """The input is malformed or its data is out of domain."""
 
 
 class ResourceError(MarkovMutatorError):

@@ -44,7 +44,14 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import NotInShat, OverflowLimitError, ProductMismatch, SignMismatch, ensure_int64
+from .errors import (
+    DomainError,
+    NotInShat,
+    OverflowLimitError,
+    ProductMismatch,
+    SignMismatch,
+    ensure_int64,
+)
 from .surd import Surd, _check_widths, _parse_kd, _render, _surd, surd_from_integer_square
 from .value import Value
 
@@ -124,15 +131,15 @@ class MatM(Value):
     def from_matrix(cls, rows: Sequence[Sequence[int]]) -> MatM:
         """Build from a row-major 3x3 matrix, validating skew-symmetrizability."""
         if len(rows) != 3 or any(not isinstance(r, (list, tuple)) or len(r) != 3 for r in rows):
-            raise ValueError("expected a 3x3 matrix")
+            raise DomainError("expected a 3x3 matrix")
         b = []
         for r in rows:
             row = []
             for e in r:
                 if isinstance(e, bool) or not isinstance(e, (int, float)):
-                    raise ValueError(f"matrix entries must be integers, got {e!r}")
+                    raise DomainError(f"matrix entries must be integers, got {e!r}")
                 if isinstance(e, float) and not e.is_integer():
-                    raise ValueError(f"matrix entries must be integers, got {e!r}")
+                    raise DomainError(f"matrix entries must be integers, got {e!r}")
                 row.append(int(e))
             b.append(row)
         if any(b[i][i] != 0 for i in range(3)):
@@ -154,18 +161,20 @@ class MatM(Value):
             try:
                 rows = json.loads(stripped)
             except RecursionError as exc:
-                raise ValueError("matrix JSON nests too deeply") from exc
+                raise DomainError("matrix JSON nests too deeply") from exc
+            except ValueError as exc:  # malformed JSON, or an integer past the digit limit
+                raise DomainError(str(exc)) from exc
             return cls.from_matrix(rows)
         parts = stripped.split("/")
         if len(parts) != 2:
-            raise ValueError(f"expected 'x y z / x' y' z'', got {text!r}")
+            raise DomainError(f"expected 'x y z / x' y' z'', got {text!r}")
         try:
             top = [int(t) for t in parts[0].split()]
             bottom = [int(t) for t in parts[1].split()]
         except ValueError as exc:
-            raise ValueError(f"non-integer entry in {text!r}") from exc
+            raise DomainError(f"non-integer entry in {text!r}") from exc
         if len(top) != 3 or len(bottom) != 3:
-            raise ValueError(f"expected three entries per row in {text!r}")
+            raise DomainError(f"expected three entries per row in {text!r}")
         return cls(*top, *bottom)
 
     def to_json(self) -> dict:
@@ -256,7 +265,7 @@ class TripleS(Value):
                 if not isinstance(e, (int, float)) or isinstance(e, bool):
                     raise TypeError(f"float-backend entry must be a real number, got {e!r}")
                 if not math.isfinite(e):
-                    raise ValueError(f"float-backend entry must be finite, got {e!r}")
+                    raise DomainError(f"float-backend entry must be finite, got {e!r}")
             ks, ds = (float(p), float(q), float(r)), None
             pqr = ks[0] * ks[1] * ks[2]
         for slot, value in zip(TripleS.__slots__, (ks, ds, pqr)):
@@ -300,7 +309,7 @@ class TripleS(Value):
         """Parse comma-separated surd expressions, e.g. '5, 2*sqrt(5), sqrt(5)'."""
         parts = text.split(",")
         if len(parts) != 3:
-            raise ValueError(f"expected three comma-separated entries, got {text!r}")
+            raise DomainError(f"expected three comma-separated entries, got {text!r}")
         return _exact_triple(_parse_kd(part.strip()) for part in parts)
 
     def to_json(self) -> dict:
@@ -322,10 +331,10 @@ class MutationPath(Value):
         indices = tuple(int(i) for i in indices)
         for i in indices:
             if i not in (1, 2, 3):
-                raise ValueError(f"path index {i} is not in {{1, 2, 3}}")
+                raise DomainError(f"path index {i} is not in {{1, 2, 3}}")
         for a, b in zip(indices, indices[1:]):
             if a == b:
-                raise ValueError(f"path {indices} repeats index {a} consecutively")
+                raise DomainError(f"path {indices} repeats index {a} consecutively")
         object.__setattr__(self, "indices", indices)
 
     def __iter__(self) -> Iterator[int]:
@@ -378,7 +387,7 @@ def mutate_tuple(t: SixTuple, k: int) -> SixTuple:
             -yp,
             zp - y * _pos(x) - _pos(-y) * x,
         )
-    raise ValueError(f"mutation index must be 1, 2 or 3, got {k}")
+    raise DomainError(f"mutation index must be 1, 2 or 3, got {k}")
 
 
 def gamma_tuple(t: SixTuple, k: int) -> SixTuple:
@@ -390,7 +399,7 @@ def gamma_tuple(t: SixTuple, k: int) -> SixTuple:
         return (x, zp * xp - y, z, xp, z * x - yp, zp)
     if k == 3:
         return (x, y, xp * yp - z, xp, yp, x * y - zp)
-    raise ValueError(f"gamma index must be 1, 2 or 3, got {k}")
+    raise DomainError(f"gamma index must be 1, 2 or 3, got {k}")
 
 
 # -- exact triples in plain integers -----------------------------------
@@ -443,9 +452,12 @@ def gamma_m(m: MatM, k: int) -> MatM:
 
 
 def gamma_s(s: TripleS, k: int) -> TripleS:
-    """gamma_k on a triple: one entry is replaced by (product of the others) - itself."""
+    """gamma_k on a triple: one entry is replaced by (product of the others) - itself.
+
+    A float entry that is not finite raises OverflowLimitError.
+    """
     if k not in (1, 2, 3):
-        raise ValueError(f"gamma index must be 1, 2 or 3, got {k}")
+        raise DomainError(f"gamma index must be 1, 2 or 3, got {k}")
     i = k - 1
     ds = s.ds
     if ds is not None and s.ks[i]:
@@ -456,6 +468,8 @@ def gamma_s(s: TripleS, k: int) -> TripleS:
     # Floats, and an exact zero entry, which takes the others' radicand.
     entries = list(s.entries())
     entries[i] = entries[i - 2] * entries[i - 1] - entries[i]
+    if ds is None and not math.isfinite(entries[i]):
+        raise OverflowLimitError(f"gamma_{k} of ({s}) overflows the float range")
     return TripleS(*entries)
 
 
@@ -516,7 +530,7 @@ def permute(m: Union[MatM, TripleS], sigma: Sequence[int], transpose: bool = Fal
     """
     sig = tuple(int(i) for i in sigma)
     if sig not in _PERMS:
-        raise ValueError(f"sigma must be a permutation of (1, 2, 3), got {sigma!r}")
+        raise DomainError(f"sigma must be a permutation of (1, 2, 3), got {sigma!r}")
     if isinstance(m, MatM):
         cols = m.columns()
         picked = [cols[i - 1] for i in sig]
@@ -527,7 +541,7 @@ def permute(m: Union[MatM, TripleS], sigma: Sequence[int], transpose: bool = Fal
         return out.transpose() if transpose else out
     if isinstance(m, TripleS):
         if transpose:
-            raise ValueError("transpose does not act on triples")
+            raise DomainError("transpose does not act on triples")
         ent = m.entries()
         return TripleS(*(ent[i - 1] for i in sig))
     raise TypeError(f"cannot permute {type(m).__name__}")

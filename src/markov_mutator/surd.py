@@ -39,7 +39,14 @@ import operator
 import re
 from typing import Any
 
-from .errors import INT64_MAX, INT64_MIN, IterationCapExceeded, RadicandMismatch, ensure_int64
+from .errors import (
+    INT64_MAX,
+    INT64_MIN,
+    DomainError,
+    IterationCapExceeded,
+    RadicandMismatch,
+    ensure_int64,
+)
 from .value import Value
 
 __all__ = ["Surd", "surd_from_integer_square"]
@@ -230,15 +237,18 @@ def _parse_kd(text: str) -> tuple[int, int]:
     """
     m = _SURD_RE.match(text)
     if m is None:
-        raise ValueError(f"not a surd expression: {text!r}")
+        raise DomainError(f"not a surd expression: {text!r}")
     sign, coeff, rad1, rad2 = m.groups()
-    k = int(coeff) if coeff is not None else 1
-    if sign == "-":
-        k = -k
-    rad = rad1 or rad2
-    if rad is None:
-        return k, 1
-    return _canonical(k, int(rad))
+    try:
+        k = int(coeff) if coeff is not None else 1
+        if sign == "-":
+            k = -k
+        rad = rad1 or rad2
+        if rad is None:
+            return k, 1
+        return _canonical(k, int(rad))
+    except ValueError as exc:  # a digit string past Python's int conversion limit
+        raise DomainError(str(exc)) from None
 
 
 def _render(k: int, d: int) -> str:
@@ -285,13 +295,13 @@ class Surd(Value):
 
     def __init__(self, k: int, radicand: int) -> None:
         if k == 0 and radicand != 1:
-            raise ValueError("the canonical zero is (0, 1)")
+            raise DomainError("the canonical zero is (0, 1)")
         if radicand <= 0:
-            raise ValueError(f"radicand must be positive, got {radicand!r}")
+            raise DomainError(f"radicand must be positive, got {radicand!r}")
         ensure_int64(abs(k), "surd coefficient")
         ensure_int64(radicand, "surd radicand")
         if _squarefree_split(radicand)[1] != radicand:
-            raise ValueError(f"radicand {radicand} is not squarefree")
+            raise DomainError(f"radicand {radicand} is not squarefree")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "radicand", radicand)
 
@@ -317,7 +327,7 @@ class Surd(Value):
     def make(cls, signed_coeff: int, radicand: int) -> Surd:
         """Canonicalize signed_coeff * sqrt(radicand); radicand need not be squarefree."""
         if signed_coeff and radicand < 0:
-            raise ValueError("radicand must be non-negative")
+            raise DomainError("radicand must be non-negative")
         return _surd(*_canonical(signed_coeff, radicand))
 
     # -- arithmetic --------------------------------------------------
@@ -385,12 +395,22 @@ class Surd(Value):
         return {"sign": self.sign, "coeff": self.coeff, "radicand": self.radicand}
 
     @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> Surd:
-        return cls.make(int(obj["sign"]) * int(obj["coeff"]), int(obj["radicand"]))
+    def from_json(cls, obj: Any) -> Surd:
+        """The Surd of a to_json object: integer sign, coeff and radicand, with sign
+        -1, 0 or 1 and 0 exactly when coeff is. Any other value raises DomainError."""
+        if isinstance(obj, dict):
+            sign, coeff, radicand = obj.get("sign"), obj.get("coeff"), obj.get("radicand")
+            if (
+                all(type(v) is int for v in (sign, coeff, radicand))
+                and coeff >= 0
+                and abs(sign) == (coeff > 0)
+            ):
+                return cls.make(sign * coeff, radicand)
+        raise DomainError(f"not a surd JSON object: {obj!r}")
 
 
 def surd_from_integer_square(m: int) -> Surd:
     """The canonical Surd equal to +sqrt(m), for m >= 0."""
     if m < 0:
-        raise ValueError(f"cannot take a real square root of {m}")
+        raise DomainError(f"cannot take a real square root of {m}")
     return Surd.make(1, m)

@@ -162,6 +162,11 @@ def test_mk_class_examples():
         assert mk_class(make("0, 0, 0")) is MkClass.M1
         assert mk_class(make("-2, -2, -2")) is MkClass.M1
         assert mk_class(make("0, 0, 3")) is MkClass.M2
+    # every product overflows to inf, and 2 * 1e200 <= inf in every direction
+    huge = TripleS.approx(1e200, 1e200, 1e200)
+    assert mk_class(huge) is MkClass.M1
+    assert descent_step(huge) is None
+    assert ab_class(huge).iterations == 0
 
 
 def test_mk_class_matm_examples():
@@ -635,6 +640,8 @@ def test_one_two_orbit_fixed_point():
 def test_one_two_orbit_float_backend():
     out = one_two_orbit(TripleS.approx(3.0, 3.0, 3.0), 3)
     assert out[-1].entries() == pytest.approx((39.0, 15.0, 3.0))
+    with pytest.raises(OverflowLimitError, match="overflows the float range"):
+        one_two_orbit(TripleS.approx(1e150, 1e150, 3.0), 400)
 
 
 @given(shat_triples(), st.integers(0, 8))

@@ -123,6 +123,9 @@ def test_classify_float_triple(capsys):
     assert payload["class"] == "M1"
     assert payload["cluster_positive"] is True
     assert payload["ab"]["kind"] == "A"
+    assert invoke(capsys, "classify", "x, 2.5, 3") == (
+        1, "", "error: cannot parse float triple 'x, 2.5, 3'\n"
+    )
 
 
 # Float triples on C = 4 whose angles, with entries 2 cosh(angle), stand in
@@ -151,6 +154,33 @@ def test_classify_float_c4_rational_angles_is_case_a(capsys, triple, steps, path
     assert "2.0" in ab["representative"].split(", ")
 
 
+def test_classify_float_c4_zero_step_representative_is_m1(capsys):
+    # angles 0, 1 and 1 + 5e-10: routed to the angle descent, which answers at
+    # once, but the input is M2, so the representative is built from the angles
+    triple = "2.0, 3.0861612696304874, 3.0861612708056887"
+    rep = "2.0, 3.0861612696304874, 3.0861612696304874"
+    code, out, err = invoke(capsys, "classify", triple)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "class: M2" in lines
+    assert "case: A after 0 descent steps" in lines
+    assert f"representative: {rep}" in lines
+    payload = invoke_json(capsys, "classify", triple)
+    assert payload["ab"] == {"kind": "A", "iterations": 0, "representative": rep, "path": []}
+    assert invoke_json(capsys, "classify", rep)["class"] == "M1"
+
+
+def test_classify_float_c4_irrational_angles_is_case_b(capsys):
+    # angles 1 : phi : 1 + phi, with phi the golden ratio
+    triple = "3.0861612696304874, 5.241453796222235, 13.781691661120403"
+    code, out, err = invoke(capsys, "classify", triple)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-2:] == ["case: B after 46 descent steps", "limit: 2 2 2"]
+    payload = invoke_json(capsys, "classify", triple)
+    assert payload["ab"] == {"kind": "B", "iterations": 46, "limit": [2.0, 2.0, 2.0]}
+
+
 def test_classify_non_gated_triple_has_no_descent(capsys):
     payload = invoke_json(capsys, "classify", "1, 1, 1")
     assert payload["cluster_positive"] is False
@@ -161,6 +191,12 @@ def test_classify_bad_matrix_is_domain_error(capsys):
     code, out, err = invoke(capsys, "classify", "1 2 3 / 4 5 6")
     assert code == 1
     assert err.startswith("error:")
+    for text, entry in [
+        ("[[0, 1.5, 0], [0, 0, 0], [0, 0, 0]]", "1.5"),
+        ("[[0, true, 0], [0, 0, 0], [0, 0, 0]]", "True"),
+    ]:
+        expected = (1, "", f"error: matrix entries must be integers, got {entry}\n")
+        assert invoke(capsys, "classify", text) == expected
 
 
 def test_classify_json_matrix_with_non_list_rows_is_domain_error(capsys):
@@ -312,6 +348,14 @@ def test_chebyshev_overflow_is_resource_error(capsys):
     code, out, err = invoke(capsys, "chebyshev", "200", "3")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_chebyshev_index_past_maxsize_overflows_like_any_other(capsys):
+    # more terms than islice can skip: the walk still ends at the 64-bit overflow
+    code, out, err = invoke(capsys, "chebyshev", str(2**63), "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: surd coefficient ")
+    assert err.endswith(" exceeds the signed 64-bit range\n")
 
 
 # sweep

@@ -1,7 +1,8 @@
 """Generated argument lists for every subcommand, run through the in-process
 entry point: each run exits 0, 1 or 2 and lets no exception escape, every
 non-zero exit explains itself on stderr, and every --json answer is strict
-JSON, without NaN or Infinity."""
+JSON, without NaN or Infinity. The parsers themselves fail only with the
+package's own errors, which are all the CLI catches."""
 
 import contextlib
 import io
@@ -12,8 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from markov_mutator.cli import SWEEP_CAP, run
 from markov_mutator.enumeration import ENUMERATION_CAP
-from markov_mutator.errors import INT64_MAX
-from markov_mutator.matrices import gamma_tuple
+from markov_mutator.errors import INT64_MAX, MarkovMutatorError
+from markov_mutator.matrices import MatM, TripleS, gamma_tuple
+from markov_mutator.surd import Surd
 
 # Integers at and around the signed 64-bit boundaries, and the widths where
 # a square or a product of two of them first leaves 64 bits.
@@ -36,6 +38,8 @@ MALFORMED = [
     "1 2 3 /", "1 2 3 / 4 5", "[", "]", "[[0,1],[2]]", "{}", "null", "[1, 2, 3]",
     "[[0, 1e400, 0], [0, 0, 0], [0, 0, 0]]", "[[0, NaN, 0], [0, 0, 0], [0, 0, 0]]",
     "\x00", "٣", "1_000", "0x10",
+    # JSON that does not decode, and an integer past Python's 4300-digit conversion limit
+    "[[0,1,0],[0,0,0],[0,0,0]", "[[0, " + "1" * 5000 + ", 0], [0, 0, 0], [0, 0, 0]]",
 ]
 
 ints = st.one_of(st.sampled_from(BOUNDARY_INTS), st.integers(-20, 20))
@@ -202,3 +206,17 @@ def test_every_subcommand_exits_cleanly_on_generated_arguments(argv):
         assert any("error:" in line for line in err.getvalue().splitlines()), err.getvalue()
     elif "--json" in argv:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def test_parsers_raise_only_package_errors():
+    parsers = [Surd.parse, TripleS.parse, MatM.parse, Surd.from_json]
+    for text in MALFORMED + NON_FINITE:
+        try:
+            decoded = [json.loads(text)]
+        except ValueError:
+            decoded = []
+        for parse, arg in [(p, text) for p in parsers] + [(Surd.from_json, v) for v in decoded]:
+            try:
+                parse(arg)
+            except MarkovMutatorError:
+                pass

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import markov_mutator
 from markov_mutator.classify import ab_class
 from markov_mutator.enumeration import enumerate_m1
 from markov_mutator.errors import (
+    DomainError,
     NotInShat,
     OverflowLimitError,
     ProductMismatch,
@@ -106,6 +108,14 @@ def test_parse_and_str():
     assert MatM.parse("[[0,-2,1],[2,0,-1],[-4,4,0]]") == MatM(4, 1, 2, 1, 4, 2)
     for bad in ["1 2 3", "1 2 / 3 4", "a b c / d e f", "[[0,1],[1,0]]", "[[0,1.5,1],[1,0,1],[1,1,0]]"]:
         with pytest.raises(ValueError):
+            MatM.parse(bad)
+    # an entry that is not a number at all, and JSON that does not decode
+    for bad, message in [
+        ("[[0, true, 0], [0, 0, 0], [0, 0, 0]]", "matrix entries must be integers, got True"),
+        ('[[0, "1", 0], [0, 0, 0], [0, 0, 0]]', "matrix entries must be integers, got '1'"),
+        ("[[0,1,0],[0,0,0],[0,0,0]", "Expecting ',' delimiter: line 1 column 25 (char 24)"),
+    ]:
+        with pytest.raises(DomainError, match=re.escape(message)):
             MatM.parse(bad)
     with pytest.raises(SignMismatch):
         MatM.parse("[[1,0,0],[0,1,0],[0,0,1]]")
@@ -269,9 +279,9 @@ def test_triple_parse_canonicalizes_entries():
     [
         ("sqrt(2), 1, 1", NotInShat,
          "pqr = sqrt(2) is not an integer; (sqrt(2), 1, 1) has no integer lift"),
-        ("1, 2x, 3", ValueError, "not a surd expression: '2x'"),
-        ("1, 2, sqrt(3", ValueError, "not a surd expression: 'sqrt(3'"),
-        ("1,2", ValueError, "expected three comma-separated entries, got '1,2'"),
+        ("1, 2x, 3", DomainError, "not a surd expression: '2x'"),
+        ("1, 2, sqrt(3", DomainError, "not a surd expression: 'sqrt(3'"),
+        ("1,2", DomainError, "expected three comma-separated entries, got '1,2'"),
         ("9223372036854775808, 1, 1", OverflowLimitError,
          "surd coefficient 9223372036854775808 exceeds the signed 64-bit range"),
         ("sqrt(9223372036854775811), 1, 1", OverflowLimitError,
@@ -279,7 +289,7 @@ def test_triple_parse_canonicalizes_entries():
         # entries are read in order: a wide first entry fails before a malformed second
         ("9223372036854775808, x, 1", OverflowLimitError,
          "surd coefficient 9223372036854775808 exceeds the signed 64-bit range"),
-        ("x, 9223372036854775808, 1", ValueError, "not a surd expression: 'x'"),
+        ("x, 9223372036854775808, 1", DomainError, "not a surd expression: 'x'"),
     ],
 )
 def test_triple_parse_errors(text, error, message):
@@ -379,6 +389,13 @@ def test_gamma_s_width():
         gamma_s(up, 2)  # the new entry itself leaves 64 bits
     # a zero entry takes the radicand of the other two
     assert str(gamma_s(TripleS.parse("0, 2*sqrt(3), sqrt(3)"), 1)) == "6, 2*sqrt(3), sqrt(3)"
+
+
+def test_gamma_s_float_overflow_is_resource_error():
+    with pytest.raises(OverflowLimitError, match=re.escape(
+        "gamma_3 of (1e+200, 1e+200, 3.0) overflows the float range"
+    )):
+        gamma_s(TripleS.approx(1e200, 1e200, 3.0), 3)
 
 
 @given(valid_mats(), st.sampled_from([1, 2, 3]))

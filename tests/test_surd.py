@@ -9,6 +9,7 @@ from markov_mutator.classify import ab_class, chebyshev_u, is_cluster_positive
 from markov_mutator.enumeration import enumerate_m1
 from markov_mutator.errors import (
     INT64_MAX,
+    DomainError,
     IterationCapExceeded,
     OverflowLimitError,
     RadicandMismatch,
@@ -97,6 +98,21 @@ def test_parse_round_trips_rendering(s):
 @given(surds)
 def test_json_round_trip(s):
     assert Surd.from_json(s.to_json()) == s
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        None, "sqrt(5)", [1, 1, 5], {}, {"sign": 1, "coeff": 2},
+        {"sign": 1, "coeff": "2", "radicand": 5}, {"sign": 1, "coeff": 2.0, "radicand": 5},
+        {"sign": True, "coeff": 2, "radicand": 5}, {"sign": 2, "coeff": 2, "radicand": 5},
+        {"sign": 1, "coeff": -2, "radicand": 5}, {"sign": 0, "coeff": 2, "radicand": 5},
+        {"sign": 1, "coeff": 0, "radicand": 5}, {"sign": 1, "coeff": 2, "radicand": -5},
+    ],
+)
+def test_from_json_rejects_what_to_json_cannot_write(obj):
+    with pytest.raises(DomainError):
+        Surd.from_json(obj)
 
 
 def test_multiplication_examples():
