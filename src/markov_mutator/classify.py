@@ -75,7 +75,7 @@ __all__ = [
 DESCENT_CAP = 10_000
 FLOAT_CLASS_EPS = 1e-12
 ANGLE_RESOLUTION = 1e-9
-# The float slack of is_cluster_positive, on the entries and on C.
+# The float slack on entries >= 2 and C <= 4 (is_cluster_positive, analyze_12_sequence).
 _FLOAT_SLACK = 1e-9
 NEGATIVE_SEARCH_CAP = 1_000_000
 CHEBYSHEV_FLOAT_CAP = 1_000_000
@@ -193,18 +193,17 @@ def _non_decreasing_directions(s: TripleS, rel_eps: float = 0.0) -> list[bool]:
     return flags
 
 
-def mk_class(s: TripleS, rel_eps: float = 0.0) -> MkClass:
+def mk_class(s: TripleS) -> MkClass:
     """M1, M2 or M3 by the number of non-decreasing gamma directions (3, 2, <=1).
 
     Direction i is non-decreasing when 2 s_i <= the product of the other
-    two entries (on the float backend, up to a slack of rel_eps relative
-    to that product). The count applies this one test at every sign, so
-    the class is total, but it is the paper's class only on positive
-    triples. Elsewhere the count decides all the same: (0, 0, 0) and
-    (-2, -2, -2) count three directions and are M1, (0, 0, 3) counts two
-    and is M2, and (2, 3, -1) counts one and is M3.
+    two entries, with no slack on either backend. The count applies this
+    one test at every sign, so the class is total, but it is the paper's
+    class only on positive triples. Elsewhere the count decides all the
+    same: (0, 0, 0) and (-2, -2, -2) count three directions and are M1,
+    (0, 0, 3) counts two and is M2, and (2, 3, -1) counts one and is M3.
     """
-    return _CLASS_BY_COUNT[sum(_non_decreasing_directions(s, rel_eps))]
+    return _CLASS_BY_COUNT[sum(_non_decreasing_directions(s))]
 
 
 def mk_class_matm(m: MatM) -> MkClass:
@@ -489,7 +488,7 @@ def analyze_12_sequence(s: TripleS) -> SequenceBehavior:
     if s.backend != "float":
         raise DomainError("analyze_12_sequence works on the float backend")
     p, q, r = s.entries()
-    if min(p, q, r) < 2.0 - 1e-12:
+    if min(p, q, r) < 2 - _FLOAT_SLACK:
         raise DomainError(f"requires p, q, r >= 2, got ({p}, {q}, {r})")
     if abs(r - 2.0) <= SEQUENCE_TOL * 2.0:
         if abs(p - q) <= SEQUENCE_TOL * max(1.0, abs(p)):

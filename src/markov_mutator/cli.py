@@ -70,7 +70,7 @@ def _parse_triple(text: str) -> TripleS:
         raise DomainError(f"expected three comma-separated entries, got {text!r}")
     if any("." in t or "e" in t.lower().replace("sqrt", "") for t in parts):
         try:
-            floats = [float(t) for t in parts]
+            floats = [float(t.encode("ascii")) for t in parts]  # refuses non-ASCII digits
         except ValueError as exc:
             raise DomainError(f"cannot parse float triple {text!r}") from exc
         return TripleS.approx(*floats)
@@ -83,7 +83,7 @@ def _parse_scalar(text: str) -> Union[Surd, float]:
     except DomainError:
         pass
     try:
-        value = float(text)
+        value = float(text.encode("ascii"))  # refuses non-ASCII digits
     except ValueError as exc:
         raise DomainError(f"cannot parse {text!r} as a surd or float") from exc
     if not math.isfinite(value):

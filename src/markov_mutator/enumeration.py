@@ -37,8 +37,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ResourceError, ensure_budget
-from .matrices import TripleS
-from .surd import surd_from_integer_square
+from .matrices import TripleS, _exact_directions, _exact_triple, markov_c_s
+from .surd import _canonical
 from .value import Value
 
 __all__ = [
@@ -50,13 +50,26 @@ __all__ = [
 ]
 
 # The bound on the search: constants below -ENUMERATION_CAP, and caps on p^2
-# above it for the constant 4, raise ResourceError before any work. At the
-# cap itself either call takes about 2 s on a 2-core VM.
+# above it for the constant 4, raise ResourceError before any work. At the cap,
+# the search takes about 2.2 s and building 10**5 rows 2.1 s on a 2-core VM.
 ENUMERATION_CAP = 10**5
 
 
+def _root_triple(*squares: int) -> TripleS:
+    """The exact triple of the square roots of integer squares, each split once;
+    matrices._exact_triple checks the 64-bit widths and that pqr is an integer."""
+    for v in squares:
+        if v < 0:
+            raise DomainError(f"cannot take a real square root of {v}")
+    return _exact_triple(_canonical(1, v) for v in squares)
+
+
 class M1Representative(Value):
-    """A descent-minimal triple, its integer squares, and its constant."""
+    """A descent-minimal triple, its integer squares, and its constant.
+
+    Checked on the triple's stored ks, ds and pqr: each square is k**2 * d of
+    a positive entry, so abc = pqr**2, and the package's own predicates decide
+    M1 (matrices._exact_directions) and the constant (matrices.markov_c_s)."""
 
     __slots__ = ("triple", "squares", "markov")
     triple: TripleS
@@ -64,34 +77,24 @@ class M1Representative(Value):
     markov: int
 
     def __init__(self, triple: TripleS, squares: tuple[int, int, int], markov: int) -> None:
+        ks, ds = triple.ks, triple.ds
+        if ds is None or any(k <= 0 or k * k * d != v for k, d, v in zip(ks, ds, squares)):
+            raise DomainError(f"triple ({triple}) does not match squares {squares}")
         a, b, c = squares
         if not a >= b >= c > 0:
             raise DomainError(f"squares must satisfy a >= b >= c > 0, got {squares}")
-        t = math.isqrt(a * b * c)
-        if t * t != a * b * c:
-            raise DomainError(f"abc = {a * b * c} is not a perfect square")
-        if t < 2 * a:
-            raise DomainError(f"sqrt(abc) = {t} < 2a = {2 * a}: not descent-minimal")
-        if a + b + c - t != markov:
-            raise DomainError(
-                f"markov constant of squares {squares} is {a + b + c - t}, not {markov}"
-            )
-        if triple.backend != "exact" or any(
-            e.sign <= 0 or e.square() != v for e, v in zip(triple.entries(), squares)
-        ):
-            raise DomainError(f"triple ({triple}) does not match squares {squares}")
+        if not all(_exact_directions(ks, ds, triple.pqr)):
+            raise DomainError(f"sqrt(abc) = {triple.pqr} < 2a = {2 * a}: not descent-minimal")
+        constant = markov_c_s(triple)
+        if constant != markov:
+            raise DomainError(f"markov constant of squares {squares} is {constant}, not {markov}")
         object.__setattr__(self, "triple", triple)
         object.__setattr__(self, "squares", squares)
         object.__setattr__(self, "markov", markov)
 
     @classmethod
     def from_squares(cls, a: int, b: int, c: int, markov: int) -> M1Representative:
-        triple = TripleS.exact(
-            surd_from_integer_square(a),
-            surd_from_integer_square(b),
-            surd_from_integer_square(c),
-        )
-        return cls(triple=triple, squares=(a, b, c), markov=markov)
+        return cls(triple=_root_triple(a, b, c), squares=(a, b, c), markov=markov)
 
     def to_json(self) -> dict:
         p, q, r = self.triple.entries()
@@ -169,19 +172,11 @@ def surjectivity_witness(n: int) -> TripleS:
     """
     if n > 4:
         raise DomainError(f"no cluster-positive triple has constant {n} > 4")
-    return TripleS.exact(
-        surd_from_integer_square(5 * (5 - n)),
-        surd_from_integer_square(4 * (5 - n)),
-        surd_from_integer_square(5),
-    )
+    return _root_triple(5 * (5 - n), 4 * (5 - n), 5)
 
 
 def surjectivity_witness_alt(n: int) -> TripleS:
     """Independent second family (sqrt(9-n), sqrt(9-n), 3) with constant n."""
     if n > 4:
         raise DomainError(f"no cluster-positive triple has constant {n} > 4")
-    return TripleS.exact(
-        surd_from_integer_square(9 - n),
-        surd_from_integer_square(9 - n),
-        surd_from_integer_square(9),
-    )
+    return _root_triple(9 - n, 9 - n, 9)

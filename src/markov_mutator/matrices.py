@@ -31,15 +31,16 @@ arithmetic of chebyshev_u and the 1,2-orbit do. The direction test
 (ks, ds, t = pqr) alone, and gamma_s and the exact descent hand their
 results to _triple, which stores them as given; the descents likewise
 hand their words, valid by construction, to _path. _exact_triple is the
-checked way in: TripleS.parse feeds it the (k, d) pairs of
-surd._parse_kd and the public constructor the coefficients of its Surd
-entries. It checks the 64-bit widths of the entries, multiplies out pqr
-and raises NotInShat when pqr is not an integer.
+checked way in, fed (k, d) pairs by TripleS.parse (from surd._parse_kd),
+by the enumeration (split integer squares) and by the public constructor
+(from its Surd entries). It checks the 64-bit widths of the entries,
+multiplies out pqr and raises NotInShat when pqr is not an integer.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -71,6 +72,8 @@ __all__ = [
 ]
 
 SixTuple = tuple[int, int, int, int, int, int]
+
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")  # int() alone also reads "1_0" and non-ASCII digits
 
 
 class CyclicityClass(Enum):
@@ -168,10 +171,12 @@ class MatM(Value):
         parts = stripped.split("/")
         if len(parts) != 2:
             raise DomainError(f"expected 'x y z / x' y' z'', got {text!r}")
+        rows = [part.split() for part in parts]
+        if not all(_INT_TOKEN.fullmatch(t) for row in rows for t in row):
+            raise DomainError(f"non-integer entry in {text!r}")
         try:
-            top = [int(t) for t in parts[0].split()]
-            bottom = [int(t) for t in parts[1].split()]
-        except ValueError as exc:
+            top, bottom = ([int(t) for t in row] for row in rows)
+        except ValueError as exc:  # a digit string past Python's int conversion limit
             raise DomainError(f"non-integer entry in {text!r}") from exc
         if len(top) != 3 or len(bottom) != 3:
             raise DomainError(f"expected three entries per row in {text!r}")

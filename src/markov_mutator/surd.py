@@ -193,7 +193,7 @@ _SURD_RE = re.compile(
             (?P<coeff>\d+)\s*(?:\*\s*sqrt\(\s*(?P<rad1>\d+)\s*\))?
           | sqrt\(\s*(?P<rad2>\d+)\s*\)
         )\s*$""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from markov_mutator.classify import (
     CHEBYSHEV_FLOAT_CAP,
+    FLOAT_CLASS_EPS,
     ABKind,
     MkClass,
     SequenceBehavior,
@@ -321,6 +322,12 @@ def test_ab_class_cap_zero_keeps_the_input():
         ab_class(s, cap=0)
     assert str(exc.value) == "descent did not resolve within 0 steps"
     assert exc.value.last == s and exc.value.last.pqr == s.pqr
+    # off C = 4 (here C = 0) a float triple takes the plain loop
+    s = TripleS.approx(6.0, 15.0, 3.0)
+    with pytest.raises(IterationCapExceeded) as exc:
+        ab_class(s, cap=0)
+    assert str(exc.value) == "descent did not resolve within 0 steps"
+    assert exc.value.last == s
 
 
 @pytest.mark.parametrize(
@@ -382,6 +389,10 @@ def test_ab_class_float_shapes():
 def test_ab_class_rejects_non_cluster_positive():
     with pytest.raises(DomainError):
         ab_class(TripleS.approx(1.0, 1.0, 1.0))  # M3 immediately
+    with pytest.raises(DomainError) as exc:
+        ab_class(TripleS.approx(-3.0, 3.0, 3.0))
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == "ab_class requires a positive triple"
     # one step reaches a zero entry, which is M3
     with pytest.raises(DomainError, match=r"^triple 0, 3, 2 is M3;"):
         ab_class(TripleS.parse("6, 3, 2"))
@@ -396,6 +407,12 @@ def test_ab_class_iteration_cap():
     with pytest.raises(IterationCapExceeded) as exc:
         ab_class(TripleS.parse("6, 15, 3"), cap=1)
     assert exc.value.last == TripleS.parse("6, 3, 3")
+    # the float plain loop carries its descent_step(..., rel_eps=FLOAT_CLASS_EPS) iterate
+    s = TripleS.approx(6.0, 15.0, 3.0)
+    with pytest.raises(IterationCapExceeded) as exc:
+        ab_class(s, cap=1)
+    assert exc.value.last == descent_step(s, rel_eps=FLOAT_CLASS_EPS)[1]
+    assert exc.value.last == TripleS.approx(6.0, 3.0, 3.0)
 
 
 def c4_triple(angles):
@@ -701,6 +718,12 @@ def test_analyze_12_sequence():
         analyze_12_sequence(TripleS.parse("3, 3, 3"))
     with pytest.raises(DomainError):
         analyze_12_sequence(TripleS.approx(1.0, 3.0, 3.0))
+    # entries within is_cluster_positive's slack of 2 count as at least 2
+    p = 2 - 5e-10
+    x = math.sqrt(2 + p)
+    s = TripleS.approx(x, x, p)
+    assert is_cluster_positive(s) and ab_class(s).kind is ABKind.B
+    assert analyze_12_sequence(s) is SequenceBehavior.CONSTANT_EQUAL
 
 
 @given(st.floats(0.05, 2.0), st.floats(2.0, 5.0))

@@ -126,6 +126,13 @@ def test_classify_float_triple(capsys):
     assert invoke(capsys, "classify", "x, 2.5, 3") == (
         1, "", "error: cannot parse float triple 'x, 2.5, 3'\n"
     )
+    # numbers are ASCII digits: the Arabic-Indic three is not 3 on either backend
+    assert invoke(capsys, "classify", "٣.٠, 3, 3") == (
+        1, "", "error: cannot parse float triple '٣.٠, 3, 3'\n"
+    )
+    assert invoke(capsys, "classify", "٣, ٣, ٣") == (
+        1, "", "error: not a surd expression: '٣'\n"
+    )
 
 
 # Float triples on C = 4 whose angles, with entries 2 cosh(angle), stand in
@@ -196,6 +203,10 @@ def test_classify_bad_matrix_is_domain_error(capsys):
         ("[[0, true, 0], [0, 0, 0], [0, 0, 0]]", "True"),
     ]:
         expected = (1, "", f"error: matrix entries must be integers, got {entry}\n")
+        assert invoke(capsys, "classify", text) == expected
+    # an entry is [+-]?[0-9]+: no non-ASCII digits and no underscores
+    for text in ("٣ ٣ ٣ / ٣ ٣ ٣", "1_0 1 1 / 1_0 1 1"):
+        expected = (1, "", f"error: non-integer entry in {text!r}\n")
         assert invoke(capsys, "classify", text) == expected
 
 
@@ -331,6 +342,9 @@ def test_chebyshev_exact(capsys):
     payload = invoke_json(capsys, "chebyshev", "3", "sqrt(5)")
     assert payload["text"] == "3*sqrt(5)"
     assert payload["u"] == {"sign": 1, "coeff": 3, "radicand": 5}
+    assert invoke(capsys, "chebyshev", "3", "sqrt(٥)") == (
+        1, "", "error: cannot parse 'sqrt(٥)' as a surd or float\n"
+    )
 
 
 def test_chebyshev_float(capsys):

@@ -21,22 +21,33 @@ from markov_mutator.orbits import lift_to_matm, reduce_to_fundamental
 
 
 def test_representative_rejects_bad_data():
-    with pytest.raises(DomainError):
-        M1Representative.from_squares(8, 9, 9, 0)  # not ordered
-    with pytest.raises(DomainError):
-        M1Representative.from_squares(9, 9, 8, 0)  # abc not a square
-    with pytest.raises(DomainError):
-        M1Representative.from_squares(25, 4, 4, 13)  # sqrt(abc) = 20 < 2a = 50
-    with pytest.raises(DomainError):
-        M1Representative.from_squares(9, 9, 9, 1)  # constant is 0, not 1
+    for squares, message in [
+        # abc = 18**2 and the constant is 4, but the squares are not ordered
+        ((4, 9, 9, 4), "squares must satisfy a >= b >= c > 0, got (4, 9, 9)"),
+        # abc = 648 is not a square: the triple builder refuses pqr
+        ((8, 9, 9, 0),
+         "pqr = 18*sqrt(2) is not an integer; (2*sqrt(2), 3, 3) has no integer lift"),
+        ((25, 4, 4, 13), "sqrt(abc) = 20 < 2a = 50: not descent-minimal"),
+        ((9, 9, 9, 1), "markov constant of squares (9, 9, 9) is 0, not 1"),
+        ((-4, 9, 9, 0), "cannot take a real square root of -4"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            M1Representative.from_squares(*squares)
+        assert str(exc.value) == message
 
 
 def test_representative_rejects_triple_that_does_not_match_squares():
-    for triple in ("3, 3, 2", "3, -3, -3"):
-        with pytest.raises(DomainError):
-            M1Representative(TripleS.parse(triple), (9, 9, 9), 0)
-    with pytest.raises(DomainError):
+    for triple, squares in [
+        ("3, 3, 2", (9, 9, 9)),
+        ("3, -3, -3", (9, 9, 9)),
+        ("3, 3, 3", (9, 9, 8)),  # abc = 648 is not a square
+    ]:
+        with pytest.raises(DomainError) as exc:
+            M1Representative(TripleS.parse(triple), squares, 0)
+        assert str(exc.value) == f"triple ({triple}) does not match squares {squares}"
+    with pytest.raises(DomainError) as exc:
         M1Representative(TripleS.approx(3.0, 3.0, 3.0), (9, 9, 9), 0)
+    assert str(exc.value) == "triple (3.0, 3.0, 3.0) does not match squares (9, 9, 9)"
 
 
 def test_representative_json():
