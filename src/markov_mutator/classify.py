@@ -149,11 +149,28 @@ def cyclicity(m: MatM) -> CyclicityClass:
     return CyclicityClass.ACYCLIC
 
 
+def _cyclic_violation(a: int, b: int, c: int, t: int) -> Optional[str]:
+    """The paper's rule on the column products a = xx', b = yy', c = zz' and
+    t = |xyz| of a cyclic matrix, or on the squares p^2, q^2, r^2 and the
+    product pqr of a positive triple: None when a, b, c >= 4 and
+    a + b + c - t <= 4, else the name of the first failure."""
+    if a < 4:
+        return "product_xx_lt_4"
+    if b < 4:
+        return "product_yy_lt_4"
+    if c < 4:
+        return "product_zz_lt_4"
+    if a + b + c - t > 4:
+        return "markov_gt_4"
+    return None
+
+
 def is_cluster_cyclic(m: MatM) -> tuple[bool, CyclicityCertificate]:
     """Decide cluster-cyclicity with a certificate.
 
     Acyclic input is immediately not cluster-cyclic. Cyclic input is
-    cluster-cyclic iff markov_c_m_abs(m) <= 4 and xx', yy', zz' >= 4.
+    cluster-cyclic iff markov_c_m_abs(m) <= 4 and xx', yy', zz' >= 4
+    (_cyclic_violation).
     """
     products = (m.x * m.xp, m.y * m.yp, m.z * m.zp)
     if cyclicity(m) is CyclicityClass.ACYCLIC:
@@ -162,13 +179,9 @@ def is_cluster_cyclic(m: MatM) -> tuple[bool, CyclicityCertificate]:
         cert = CyclicityCertificate("cluster_acyclic", markov_c_m(m), products, "acyclic_input")
         return False, cert
     c = markov_c_m_abs(m)
-    for name, prod in zip(("xx", "yy", "zz"), products):
-        if prod < 4:
-            return False, CyclicityCertificate(
-                "cluster_acyclic", c, products, f"product_{name}_lt_4"
-            )
-    if c > 4:
-        return False, CyclicityCertificate("cluster_acyclic", c, products, "markov_gt_4")
+    violated = _cyclic_violation(*products, abs(m.x * m.y * m.z))
+    if violated is not None:
+        return False, CyclicityCertificate("cluster_acyclic", c, products, violated)
     return True, CyclicityCertificate("cluster_cyclic", c, products)
 
 
@@ -231,10 +244,14 @@ def descent_step(s: TripleS, rel_eps: float = 0.0) -> Optional[tuple[int, Triple
 def is_cluster_positive(s: TripleS) -> bool:
     """Entries >= 2 and Markov constant <= 4: the precondition of ab_class's descent.
 
-    The float backend allows 1e-9 of slack on both bounds.
+    The exact backend decides in plain integers, through the same rule as
+    is_cluster_cyclic (_cyclic_violation) on the squares and pqr of a
+    positive triple. The float backend allows 1e-9 of slack on both bounds.
     """
-    slack = _FLOAT_SLACK if s.backend == "float" else 0
-    return all(e >= 2 - slack for e in s.entries()) and markov_c_s(s) <= 4 + slack
+    if s.ds is not None:
+        squares = (k * k * d for k, d in zip(s.ks, s.ds))
+        return s.is_positive() and _cyclic_violation(*squares, s.pqr) is None
+    return all(e >= 2 - _FLOAT_SLACK for e in s.ks) and markov_c_s(s) <= 4 + _FLOAT_SLACK
 
 
 def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:

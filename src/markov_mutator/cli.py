@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Union
 from .classify import (
     DESCENT_CAP,
     ABKind,
+    _cyclic_violation,
     ab_class,
     chebyshev_u,
     cyclicity,
@@ -34,7 +35,7 @@ from .classify import (
 )
 from .enumeration import enumerate_m1, surjectivity_witness
 from .errors import DomainError, ResourceError, ensure_budget
-from .matrices import MatM, TripleS, markov_c_s
+from .matrices import _INT_TOKEN, MatM, TripleS, markov_c_s
 from .orbits import (
     DEFAULT_DEPTH,
     DEFAULT_ENTRY_BOUND,
@@ -55,13 +56,31 @@ _BUDGETS = ("cap", "depth", "entry_bound", "p_square_cap")
 EXIT_CLOSED_STDOUT = 141
 
 # The largest --max-entry sweep accepts: it holds all N**3 bottom rows and
-# classifies every matrix over them, and N = 20 takes about 2 s on a 2-core VM.
-SWEEP_CAP = 20
+# decides every matrix over them in plain integers, and N = 50 takes about
+# 1.3 s on a 2-core VM.
+SWEEP_CAP = 50
 
 _EPILOG = (
     f"default caps: breadth-first depth {DEFAULT_DEPTH}, "
     f"entry bound {DEFAULT_ENTRY_BOUND}, descent cap {DESCENT_CAP}"
 )
+
+
+def _int_arg(text: str) -> int:
+    """An integer option or argument, in the grammar of a matrix entry (_INT_TOKEN)."""
+    try:
+        if _INT_TOKEN.fullmatch(text):
+            return int(text)
+    except ValueError:  # past Python's limit on the digits int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _float_text(text: str) -> float:
+    """float() of ASCII text without "_" (float() alone reads both); else ValueError."""
+    if "_" in text:
+        raise ValueError(f"underscore in {text!r}")
+    return float(text.encode("ascii"))
 
 
 def _parse_triple(text: str) -> TripleS:
@@ -70,7 +89,7 @@ def _parse_triple(text: str) -> TripleS:
         raise DomainError(f"expected three comma-separated entries, got {text!r}")
     if any("." in t or "e" in t.lower().replace("sqrt", "") for t in parts):
         try:
-            floats = [float(t.encode("ascii")) for t in parts]  # refuses non-ASCII digits
+            floats = [_float_text(t) for t in parts]
         except ValueError as exc:
             raise DomainError(f"cannot parse float triple {text!r}") from exc
         return TripleS.approx(*floats)
@@ -83,7 +102,7 @@ def _parse_scalar(text: str) -> Union[Surd, float]:
     except DomainError:
         pass
     try:
-        value = float(text.encode("ascii"))  # refuses non-ASCII digits
+        value = _float_text(text)
     except ValueError as exc:
         raise DomainError(f"cannot parse {text!r} as a surd or float") from exc
     if not math.isfinite(value):
@@ -240,20 +259,20 @@ def _cmd_chebyshev(args) -> int:
 
 def _sweep_counts(max_entry: int) -> tuple[int, int]:
     """Tally the cluster-cyclicity decision over every positive matrix
-    with entries <= max_entry. Matrices are grouped by the product
-    xyz = x'y'z', so each bucket pairs freely."""
+    with entries <= max_entry. Rows are grouped by their product xyz, so
+    each bucket pairs freely: every pair is a valid positive matrix, and
+    _cyclic_violation decides it from its column products and xyz."""
     buckets: dict[int, list[tuple[int, int, int]]] = {}
-    for t in itertools.product(range(1, max_entry + 1), repeat=3):
-        buckets.setdefault(t[0] * t[1] * t[2], []).append(t)
-    cyc = acyc = 0
-    for bottoms in buckets.values():
-        for top in bottoms:
-            for bottom in bottoms:
-                if is_cluster_cyclic(MatM(*top, *bottom))[0]:
+    for row in itertools.product(range(1, max_entry + 1), repeat=3):
+        buckets.setdefault(row[0] * row[1] * row[2], []).append(row)
+    total = cyc = 0
+    for t, rows in buckets.items():
+        total += len(rows) ** 2
+        for x, y, z in rows:
+            for xp, yp, zp in rows:
+                if _cyclic_violation(x * xp, y * yp, z * zp, t) is None:
                     cyc += 1
-                else:
-                    acyc += 1
-    return cyc, acyc
+    return cyc, total - cyc
 
 
 def _cmd_sweep(args) -> int:
@@ -285,11 +304,11 @@ def _add_json(p: argparse.ArgumentParser) -> None:
 
 def _add_search_caps(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--depth", type=int, default=DEFAULT_DEPTH,
+        "--depth", type=_int_arg, default=DEFAULT_DEPTH,
         help="breadth-first word-length bound (default: %(default)s)",
     )
     p.add_argument(
-        "--entry-bound", type=int, default=DEFAULT_ENTRY_BOUND,
+        "--entry-bound", type=_int_arg, default=DEFAULT_ENTRY_BOUND,
         help="prune branches whose entries exceed this (default: %(default)s)",
     )
 
@@ -314,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_json(p)
     _add_search_caps(p)
     p.add_argument(
-        "--cap", type=int, default=DESCENT_CAP,
+        "--cap", type=_int_arg, default=DESCENT_CAP,
         help="descent iteration cap for triples (default: %(default)s)",
     )
     p.set_defaults(func=_cmd_classify)
@@ -334,16 +353,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "enumerate",
         help="all descent-minimal triples with integer squares and a given constant",
     )
-    p.add_argument("--markov", type=int, required=True, help="target constant, at most 4")
+    p.add_argument("--markov", type=_int_arg, required=True, help="target constant, at most 4")
     p.add_argument(
-        "--p-square-cap", type=int, default=None,
+        "--p-square-cap", type=_int_arg, default=None,
         help="cap on p^2; mandatory for --markov 4 (infinite family)",
     )
     _add_json(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("witness", help="a triple attaining a given constant, with its lift")
-    p.add_argument("--markov", type=int, required=True, help="target constant, at most 4")
+    p.add_argument("--markov", type=_int_arg, required=True, help="target constant, at most 4")
     _add_json(p)
     p.set_defaults(func=_cmd_witness)
 
@@ -357,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("chebyshev", help="u_n(r) with u_0 = 1, u_1 = r, u_{n+1} = r u_n - u_{n-1}")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     p.add_argument("r", help="surd like 'sqrt(5)' or a float")
     _add_json(p)
     p.set_defaults(func=_cmd_chebyshev)
@@ -366,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="classify every positive matrix with entries up to a bound and tally decisions",
     )
-    p.add_argument("--max-entry", type=int, required=True)
+    p.add_argument("--max-entry", type=_int_arg, required=True)
     _add_json(p)
     p.set_defaults(func=_cmd_sweep)
 

@@ -78,7 +78,9 @@ class M1Representative(Value):
 
     def __init__(self, triple: TripleS, squares: tuple[int, int, int], markov: int) -> None:
         ks, ds = triple.ks, triple.ds
-        if ds is None or any(k <= 0 or k * k * d != v for k, d, v in zip(ks, ds, squares)):
+        if ds is None or len(squares) != 3 or any(
+            k <= 0 or k * k * d != v for k, d, v in zip(ks, ds, squares)
+        ):
             raise DomainError(f"triple ({triple}) does not match squares {squares}")
         a, b, c = squares
         if not a >= b >= c > 0:

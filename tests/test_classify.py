@@ -7,6 +7,7 @@ from markov_mutator.classify import (
     CHEBYSHEV_FLOAT_CAP,
     FLOAT_CLASS_EPS,
     ABKind,
+    CyclicityCertificate,
     MkClass,
     SequenceBehavior,
     ab_class,
@@ -96,6 +97,16 @@ def test_is_cluster_cyclic_examples():
 
     ok, cert = is_cluster_cyclic(MatM(2, 2, 3, 2, 2, 3))
     assert not ok and cert.violated == "markov_gt_4"  # C = 17 - 12 = 5
+
+    ok, cert = is_cluster_cyclic(MatM(2, 1, 2, 2, 1, 2))
+    assert not ok and cert.violated == "product_yy_lt_4"
+
+    ok, cert = is_cluster_cyclic(MatM(2, 2, 1, 2, 2, 1))
+    assert not ok and cert.violated == "product_zz_lt_4"
+
+    # negative-cyclic: the products are positive and the constant reads |xyz|
+    ok, cert = is_cluster_cyclic(MatM(-3, -3, -3, -3, -3, -3))
+    assert ok and cert == CyclicityCertificate("cluster_cyclic", 0, (9, 9, 9))
 
 
 def test_certificate_json_schema():

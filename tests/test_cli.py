@@ -1,5 +1,6 @@
 """End-to-end command-line behavior through the in-process entry point."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import markov_mutator
-from markov_mutator.cli import EXIT_CLOSED_STDOUT, SWEEP_CAP, run
+from markov_mutator.classify import is_cluster_cyclic
+from markov_mutator.cli import EXIT_CLOSED_STDOUT, SWEEP_CAP, _sweep_counts, run
+from markov_mutator.matrices import MatM
 
 
 def invoke(capsys, *argv):
@@ -132,6 +135,10 @@ def test_classify_float_triple(capsys):
     )
     assert invoke(capsys, "classify", "٣, ٣, ٣") == (
         1, "", "error: not a surd expression: '٣'\n"
+    )
+    # nor is 1_0.0 ten: float() alone reads the underscore
+    assert invoke(capsys, "classify", "1_0.0, 3, 3") == (
+        1, "", "error: cannot parse float triple '1_0.0, 3, 3'\n"
     )
 
 
@@ -345,6 +352,9 @@ def test_chebyshev_exact(capsys):
     assert invoke(capsys, "chebyshev", "3", "sqrt(٥)") == (
         1, "", "error: cannot parse 'sqrt(٥)' as a surd or float\n"
     )
+    assert invoke(capsys, "chebyshev", "3", "1_0.5") == (
+        1, "", "error: cannot parse '1_0.5' as a surd or float\n"
+    )
 
 
 def test_chebyshev_float(capsys):
@@ -405,6 +415,30 @@ def test_sweep_tally(capsys):
 def test_sweep_rejects_nonpositive_bound(capsys):
     code, out, err = invoke(capsys, "sweep", "--max-entry", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sweep_counts_match_a_tally_of_validated_matrices(n):
+    cyc = total = 0
+    for x, y, z, xp, yp, zp in itertools.product(range(1, n + 1), repeat=6):
+        if x * y * z == xp * yp * zp:
+            total += 1
+            cyc += is_cluster_cyclic(MatM(x, y, z, xp, yp, zp))[0]
+    assert _sweep_counts(n) == (cyc, total - cyc)
+
+
+def test_sweep_counts_at_twenty():
+    assert _sweep_counts(20) == (137206, 31330)
+
+
+def test_sweep_at_the_cap_answers_within_deadline():
+    done = run_module("sweep", "--max-entry", str(SWEEP_CAP), timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        f"positive matrices with entries <= {SWEEP_CAP}: 5274488\n"
+        "cluster-cyclic: 4874902\n"
+        "cluster-acyclic: 399586\n"
+    )
 
 
 @pytest.mark.parametrize("max_entry", [SWEEP_CAP + 1, 10**9])
@@ -564,3 +598,25 @@ def test_unknown_command_is_usage_error(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     code, out, err = invoke(capsys, "enumerate")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, name, token",
+    [
+        (["chebyshev", "٣", "2"], "n", "٣"),
+        (["sweep", "--max-entry", "٣"], "--max-entry", "٣"),
+        (["classify", "3 3 3 / 3 3 3", "--depth", "1_0"], "--depth", "1_0"),
+        (["orbit", "3 3 3 / 3 3 3", "--entry-bound", "1_000"], "--entry-bound", "1_000"),
+        (["classify", "6, 15, 3", "--cap", "٣"], "--cap", "٣"),
+        (["enumerate", "--markov=-1_3"], "--markov", "-1_3"),
+        (["enumerate", "--markov", "4", "--p-square-cap", "1_0"], "--p-square-cap", "1_0"),
+        (["witness", "--markov", " 3"], "--markov", " 3"),
+    ],
+    ids=["chebyshev-n", "max-entry", "depth", "entry-bound", "cap", "markov", "p-square-cap",
+         "witness-markov"],
+)
+def test_integer_arguments_are_ascii_digits(capsys, argv, name, token):
+    # int() alone reads non-ASCII digits, underscores and surrounding spaces
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {name}: invalid int value: {token!r}\n")

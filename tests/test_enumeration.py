@@ -41,6 +41,9 @@ def test_representative_rejects_triple_that_does_not_match_squares():
         ("3, 3, 2", (9, 9, 9)),
         ("3, -3, -3", (9, 9, 9)),
         ("3, 3, 3", (9, 9, 8)),  # abc = 648 is not a square
+        # zip alone would pair off the first squares and miss the length
+        ("3, 3, 3", (9, 9)),
+        ("3, 3, 3", (9, 9, 9, 9)),
     ]:
         with pytest.raises(DomainError) as exc:
             M1Representative(TripleS.parse(triple), squares, 0)
