@@ -47,7 +47,6 @@ from .matrices import (
     gamma_s,
     markov_c_m,
     markov_c_m_abs,
-    markov_c_s,
 )
 from .surd import Surd
 
@@ -75,7 +74,7 @@ __all__ = [
 DESCENT_CAP = 10_000
 FLOAT_CLASS_EPS = 1e-12
 ANGLE_RESOLUTION = 1e-9
-# The float slack on entries >= 2 and C <= 4 (is_cluster_positive, analyze_12_sequence).
+# The float slack on entries >= 2 (_angles, analyze_12_sequence).
 _FLOAT_SLACK = 1e-9
 NEGATIVE_SEARCH_CAP = 1_000_000
 CHEBYSHEV_FLOAT_CAP = 1_000_000
@@ -246,12 +245,27 @@ def is_cluster_positive(s: TripleS) -> bool:
 
     The exact backend decides in plain integers, through the same rule as
     is_cluster_cyclic (_cyclic_violation) on the squares and pqr of a
-    positive triple. The float backend allows 1e-9 of slack on both bounds.
+    positive triple. A float triple passes when ab_class routes it to the angle
+    descent or its angles satisfy the strict triangle inequality (_angles).
     """
     if s.ds is not None:
         squares = (k * k * d for k, d in zip(s.ks, s.ds))
         return s.is_positive() and _cyclic_violation(*squares, s.pqr) is None
-    return all(e >= 2 - _FLOAT_SLACK for e in s.ks) and markov_c_s(s) <= 4 + _FLOAT_SLACK
+    found = _angles(s.ks)
+    return found is not None and found[1] <= found[2]
+
+
+def _angles(ks: tuple[float, float, float]) -> Optional[tuple[list[float], float, float]]:
+    """None when an entry is below 2 - _FLOAT_SLACK; else the angles of the entries
+    as 2 cosh(angle), their gap hi - mid - lo (< 0, 0 and > 0 for C < 4, = 4 and > 4)
+    and its tolerance, ANGLE_RESOLUTION * hi plus how far one ulp of each entry moves
+    its angle (an entry near 2 holds a small angle a only to about 1e-16 / a)."""
+    if min(ks) < 2 - _FLOAT_SLACK:
+        return None
+    angles = [math.acosh(max(e / 2, 1.0)) for e in ks]
+    spread = sum(math.acosh(max(e / 2 + math.ulp(e) / 2, 1.0)) - a for e, a in zip(ks, angles))
+    lo, mid, hi = sorted(angles)
+    return angles, hi - mid - lo, ANGLE_RESOLUTION * hi + spread
 
 
 def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
@@ -260,11 +274,8 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     Exact backend: repeatedly apply the unique strictly-decreasing gamma
     while the triple is M2; the reached M1 element is the class A
     representative. (Over triples with integer squares the answer is
-    always A.) Float backend: a triple with entries at least 2, up to
-    is_cluster_positive's slack, is on C = 4 when its largest angle is the
-    sum of the other two up to ANGLE_RESOLUTION times itself, plus the
-    spread: how far one ulp of each entry moves its angle (an entry near 2
-    holds a small angle a only to about 1e-16 / a). It then descends by
+    always A.) Float backend: a triple whose angle gap is within its
+    tolerance (_angles) is on C = 4. It then descends by
     Euclid on its angles (_ab_class_angles). Any other float triple is off
     C = 4, where class B cannot occur, and runs the exact loop with
     comparisons slack by FLOAT_CLASS_EPS.
@@ -276,14 +287,9 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
         return _ab_class_exact(s, cap)
     if not s.is_positive():
         raise DomainError("ab_class requires a positive triple")
-    if min(s.ks) >= 2 - _FLOAT_SLACK:
-        angles = [math.acosh(max(e / 2, 1.0)) for e in s.ks]
-        spread = sum(
-            math.acosh(max(e / 2 + math.ulp(e) / 2, 1.0)) - a for e, a in zip(s.ks, angles)
-        )
-        lo, mid, hi = sorted(angles)
-        if abs(hi - mid - lo) <= ANGLE_RESOLUTION * hi + spread:
-            return _ab_class_angles(s, angles, cap)
+    found = _angles(s.ks)
+    if found is not None and abs(found[1]) <= found[2]:
+        return _ab_class_angles(s, found[0], cap)
     cur = s
     word: list[int] = []
     for iterations in itertools.count():
@@ -311,7 +317,7 @@ def _ab_class_angles(s: TripleS, angles: list[float], cap: int) -> ABClass:
 
     Each step is one subtraction: the largest angle becomes the difference
     of the other two, and its 1-based index goes into the word. Class B
-    when the middle angle is at most ANGLE_RESOLUTION times the largest
+    when the middle angle is below ANGLE_RESOLUTION times the largest
     starting angle; class A when the smallest is at most ANGLE_RESOLUTION
     times the middle one. Its representative is built from the angles with
     the smallest set to 0, which puts exactly 2.0 in its place, and the
@@ -325,7 +331,7 @@ def _ab_class_angles(s: TripleS, angles: list[float], cap: int) -> ABClass:
     word: list[int] = []
     for iterations in itertools.count():
         lo, mid, hi = sorted(range(3), key=angles.__getitem__)
-        if angles[mid] <= b_limit:
+        if angles[mid] < b_limit:  # strict, so the all-zero angles of (2, 2, 2) read A
             return ABClass(ABKind.B, _path(tuple(word)), iterations, limit=(2.0, 2.0, 2.0))
         if angles[lo] <= ANGLE_RESOLUTION * angles[mid]:
             angles[lo], angles[hi] = 0.0, angles[mid]

@@ -34,7 +34,7 @@ from .classify import (
     mk_class,
 )
 from .enumeration import enumerate_m1, surjectivity_witness
-from .errors import DomainError, ResourceError, ensure_budget
+from .errors import DomainError, OverflowLimitError, ResourceError, ensure_budget
 from .matrices import _INT_TOKEN, MatM, TripleS, markov_c_s
 from .orbits import (
     DEFAULT_DEPTH,
@@ -155,9 +155,12 @@ def _classify_triple(args, s: TripleS) -> int:
     cls = mk_class(s)
     payload = {"triple": str(s), "backend": s.backend, "class": cls.value}
     lines = [f"triple: {s}", f"backend: {s.backend}", f"class: {cls.value}"]
-    c = markov_c_s(s)
+    try:
+        c = markov_c_s(s)
+    except OverflowLimitError:  # a float triple: the gate and the descent run on angles
+        c = None
     payload["markov"] = c
-    lines.append(f"markov: {c}")
+    lines.append("markov: overflows the float range" if c is None else f"markov: {c}")
     gate = is_cluster_positive(s)
     payload["cluster_positive"] = gate
     lines.append(f"cluster positive: {'yes' if gate else 'no'}")

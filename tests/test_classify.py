@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,6 +11,7 @@ from markov_mutator.classify import (
     CyclicityCertificate,
     MkClass,
     SequenceBehavior,
+    _angles,
     ab_class,
     analyze_12_sequence,
     chebyshev_u,
@@ -154,9 +156,54 @@ def test_cluster_positive_bounds_read_the_same_on_both_backends(text, expected):
 
 def test_cluster_positive_float_slack():
     assert is_cluster_positive(TripleS.approx(2 - 1e-10, 2, 2))
-    assert is_cluster_positive(TripleS.approx(2, 2, 2 + 1e-10))  # constant 4 + 4e-10
+    # constant 4 + 4e-10: an angle gap of 1e-5 against a tolerance of about 5e-8
+    assert not is_cluster_positive(TripleS.approx(2, 2, 2 + 1e-10))
+    # constant above 4, but the angle gap is within one ulp's spread
+    assert is_cluster_positive(TripleS.approx(2, 2, math.nextafter(2, 3)))
     assert not is_cluster_positive(TripleS.approx(2 - 1e-8, 2, 2))
     assert not is_cluster_positive(TripleS.approx(2, 2, 2.0001))
+
+
+# Relative excesses of the largest angle over the sum of the other two: on
+# C = 4, within and past the routing tolerance, and well off it either way.
+_C4_SKEWS = st.sampled_from(
+    [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6]
+) | st.floats(-0.01, 0.01)
+_ANGLES = st.floats(0, 709) | st.floats(0, 1e-3)
+
+
+@st.composite
+def float_angle_triples(draw):
+    """Float triples 2 cosh(angle) in any order, with angles up to 709 (the largest
+    a finite float holds is acosh(max / 2), about 709.78): the angles
+    (a, b, (a + b)(1 + skew)), on and near C = 4, or three independent angles."""
+    hi = draw(_ANGLES)
+    if draw(st.booleans()):
+        a = hi * draw(st.floats(0, 1))
+        angles = [a, hi - a, min(hi * (1 + draw(_C4_SKEWS)), 709.0)]
+    else:
+        angles = [hi, draw(_ANGLES), draw(_ANGLES)]
+    return TripleS.approx(*(2 * math.cosh(angles[i]) for i in draw(st.permutations(range(3)))))
+
+
+@settings(max_examples=300, deadline=1000)  # ms; a descent spending DESCENT_CAP steps takes about 10 ms
+@given(float_angle_triples())
+def test_float_cluster_positive_is_the_angle_triangle_inequality(s):
+    positive = is_cluster_positive(s)
+    lo, mid, hi = sorted(math.acosh(e / 2) for e in s.ks)
+    _, gap, tol = _angles(s.ks)
+    assert positive is (abs(gap) <= tol or hi < lo + mid)
+    p, q, r = map(Fraction, s.ks)
+    c_minus_4 = p * p + q * q + r * r - p * q * r - 4
+    if abs(gap) > tol:
+        assert positive is (c_minus_4 < 0)
+    if c_minus_4 <= 0:
+        assert positive
+    if positive:
+        try:
+            ab_class(s)
+        except IterationCapExceeded:
+            pass
 
 
 # -- M classes ---------------------------------------------------------
@@ -733,7 +780,9 @@ def test_analyze_12_sequence():
     p = 2 - 5e-10
     x = math.sqrt(2 + p)
     s = TripleS.approx(x, x, p)
-    assert is_cluster_positive(s) and ab_class(s).kind is ABKind.B
+    out = ab_class(s)
+    assert is_cluster_positive(s) and out.kind is ABKind.A
+    assert out.representative == TripleS.approx(2.0, 2.0, 2.0)
     assert analyze_12_sequence(s) is SequenceBehavior.CONSTANT_EQUAL
 
 

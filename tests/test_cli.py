@@ -195,6 +195,69 @@ def test_classify_float_c4_irrational_angles_is_case_b(capsys):
     assert payload["ab"] == {"kind": "B", "iterations": 46, "limit": [2.0, 2.0, 2.0]}
 
 
+# Float triples whose p^2 + q^2 + r^2 - pqr overflows: the constant reads as
+# overflowing, and the gate and the descent, which run on angles, answer.
+OVERFLOWING_TRIPLES = [
+    (
+        "1e200, 2, 3",
+        "triple: 1e+200, 2.0, 3.0\nbackend: float\nclass: M2\n"
+        "markov: overflows the float range\ncluster positive: no\n",
+        '{"triple": "1e+200, 2.0, 3.0", "backend": "float", "class": "M2", "markov": null, '
+        '"cluster_positive": false, "caps": {"descent_cap": 10000}}\n',
+    ),
+    (
+        # angles 300 : 400 : 700
+        "1.9424263952412558e+130, 5.221469689764144e+173, 1.0142320547350045e+304",
+        "triple: 1.9424263952412558e+130, 5.221469689764144e+173, 1.0142320547350045e+304\n"
+        "backend: float\nclass: M2\nmarkov: overflows the float range\n"
+        "cluster positive: yes\ncase: A after 4 descent steps\n"
+        "representative: 2.6881171418161356e+43, 2.0, 2.6881171418161356e+43\npath: 3 2 1 2\n",
+        '{"triple": "1.9424263952412558e+130, 5.221469689764144e+173, 1.0142320547350045e+304", '
+        '"backend": "float", "class": "M2", "markov": null, "cluster_positive": true, '
+        '"ab": {"kind": "A", "iterations": 4, '
+        '"representative": "2.6881171418161356e+43, 2.0, 2.6881171418161356e+43", '
+        '"path": [3, 2, 1, 2]}, "caps": {"descent_cap": 10000}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "triple, text, json_text", OVERFLOWING_TRIPLES, ids=["classify-1e200", "angles-300-400-700"]
+)
+def test_classify_float_constant_that_overflows(capsys, triple, text, json_text, fmt):
+    if fmt == "json":
+        assert invoke(capsys, "classify", triple, "--json") == (0, json_text, "")
+    else:
+        assert invoke(capsys, "classify", triple) == (0, text, "")
+
+
+def test_classify_float_just_outside_c4_is_not_cluster_positive(capsys):
+    # constant 4 + 4e-10: an angle gap of 1e-5 against a tolerance of about 5e-8
+    triple = "2.0, 2.0, 2.0000000001"
+    code, out, err = invoke(capsys, "classify", triple)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "cluster positive: no"
+    payload = invoke_json(capsys, "classify", triple)
+    assert payload["cluster_positive"] is False and "ab" not in payload
+
+
+def test_classify_float_two_two_two_is_case_a(capsys):
+    # all three angles are 0: case A with itself as representative, as on the exact backend
+    code, out, err = invoke(capsys, "classify", "2.0, 2.0, 2.0")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-4:] == [
+        "cluster positive: yes",
+        "case: A after 0 descent steps",
+        "representative: 2.0, 2.0, 2.0",
+        "path: ",
+    ]
+    assert invoke_json(capsys, "classify", "2.0, 2.0, 2.0")["ab"] == {
+        "kind": "A", "iterations": 0, "representative": "2.0, 2.0, 2.0", "path": []
+    }
+    assert invoke_json(capsys, "classify", "2, 2, 2")["ab"]["kind"] == "A"
+
+
 def test_classify_non_gated_triple_has_no_descent(capsys):
     payload = invoke_json(capsys, "classify", "1, 1, 1")
     assert payload["cluster_positive"] is False
@@ -390,13 +453,11 @@ def test_chebyshev_index_past_maxsize_overflows_like_any_other(capsys):
     "argv, code, message",
     [
         (["classify", "1e400, 2, 3"], 1, "error: float-backend entry must be finite, got inf\n"),
-        (["classify", "1e200, 2, 3"], 2,
-         "error: p^2 + q^2 + r^2 - pqr of (1e+200, 2.0, 3.0) overflows the float range\n"),
         (["chebyshev", "5", "nan"], 1, "error: 'nan' is not a finite number\n"),
         (["chebyshev", "5", "inf"], 1, "error: 'inf' is not a finite number\n"),
         (["chebyshev", "5", "1e300"], 2, "error: u_5(1e+300) overflows the float range\n"),
     ],
-    ids=["classify-1e400", "classify-1e200", "chebyshev-nan", "chebyshev-inf", "chebyshev-1e300"],
+    ids=["classify-1e400", "chebyshev-nan", "chebyshev-inf", "chebyshev-1e300"],
 )
 def test_non_finite_floats_are_errors(capsys, argv, code, message, fmt):
     assert invoke(capsys, *argv, *fmt) == (code, "", message)

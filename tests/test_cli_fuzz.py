@@ -1,17 +1,23 @@
 """Generated argument lists for every subcommand, run through the in-process
 entry point: each run exits 0, 1 or 2 and lets no exception escape, every
 non-zero exit explains itself on stderr, and every --json answer is strict
-JSON, without NaN or Infinity. The parsers themselves fail only with the
-package's own errors, which are all the CLI catches."""
+JSON, without NaN or Infinity. A sample also runs as child processes with no
+reader on stdout, where each ends quietly. The parsers themselves fail only
+with the package's own errors, which are all the CLI catches."""
 
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from markov_mutator.cli import SWEEP_CAP, run
+import markov_mutator
+from markov_mutator.cli import EXIT_CLOSED_STDOUT, SWEEP_CAP, run
 from markov_mutator.enumeration import ENUMERATION_CAP
 from markov_mutator.errors import INT64_MAX, MarkovMutatorError
 from markov_mutator.matrices import MatM, TripleS, gamma_tuple
@@ -115,11 +121,12 @@ lifted_triples = st.builds(
 
 def _c4_text(pair, scale, order):
     """A float triple on C = 4: 2 cosh of the angles (a g, b g, (a + b) g) in
-    the given order, where g is scale times 300 / (a + b). The largest angle
-    is then at most 300, so the squares and the product of the entries stay
-    finite and the descent runs."""
+    the given order, where g is scale times 709 / (a + b). The largest angle
+    is then at most 709, so each entry is a finite float (the largest angle
+    one holds is acosh(max / 2), about 709.78), though its square and the
+    product of the entries may overflow."""
     a, b = pair
-    g = scale * 300 / (a + b)
+    g = scale * 709 / (a + b)
     angles = (a * g, b * g, (a + b) * g)
     return ", ".join(repr(2 * math.cosh(angles[i])) for i in order)
 
@@ -206,6 +213,34 @@ def test_every_subcommand_exits_cleanly_on_generated_arguments(argv):
         assert any("error:" in line for line in err.getvalue().splitlines()), err.getvalue()
     elif "--json" in argv:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+@settings(
+    max_examples=20,
+    deadline=None,  # each example starts an interpreter
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(argvs.filter(lambda argv: not any("\0" in token for token in argv)))
+def test_generated_arguments_end_quietly_on_a_closed_stdout(argv):
+    """With no reader on stdout, a run either ends on the closed pipe with
+    EXIT_CLOSED_STDOUT and nothing on stderr, or fails first with exit 1 or 2
+    and an error: line; it never prints a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(markov_mutator.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the pipe fails with EPIPE
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "markov_mutator.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr, done.stderr
+    assert done.returncode in (1, 2, EXIT_CLOSED_STDOUT)
+    if done.returncode == EXIT_CLOSED_STDOUT:
+        assert done.stderr == ""
+    else:
+        assert any("error:" in line for line in done.stderr.splitlines()), done.stderr
 
 
 def test_parsers_raise_only_package_errors():
