@@ -40,7 +40,7 @@ from .matrices import (
     MatM,
     MutationPath,
     TripleS,
-    _exact_directions,
+    _directions,
     _gamma_step,
     _path,
     _triple,
@@ -48,7 +48,7 @@ from .matrices import (
     markov_c_m,
     markov_c_m_abs,
 )
-from .surd import Surd
+from .surd import Surd, _check_widths, _surd
 
 __all__ = [
     "ABClass",
@@ -187,24 +187,6 @@ def is_cluster_cyclic(m: MatM) -> tuple[bool, CyclicityCertificate]:
 # -- M1 / M2 / M3 ------------------------------------------------------
 
 
-def _non_decreasing_directions(s: TripleS, rel_eps: float = 0.0) -> list[bool]:
-    """For each index i: is s <= gamma_i(s), i.e. 2 s_i <= product of the others?
-
-    The exact backend decides in plain integers (matrices._exact_directions). The
-    float backend accepts a relative epsilon so that noise-level
-    differences count as non-decreasing; with rel_eps = 0 there is no
-    slack, even on a product that overflows to inf.
-    """
-    if s.backend == "exact":
-        return _exact_directions(s.ks, s.ds, s.pqr)
-    p, q, r = s.ks
-    flags = []
-    for own, prod in zip((p, q, r), (q * r, r * p, p * q)):
-        slack = rel_eps * max(1.0, abs(prod)) if rel_eps else 0.0
-        flags.append(own * 2 <= prod + slack)
-    return flags
-
-
 def mk_class(s: TripleS) -> MkClass:
     """M1, M2 or M3 by the number of non-decreasing gamma directions (3, 2, <=1).
 
@@ -215,7 +197,7 @@ def mk_class(s: TripleS) -> MkClass:
     same: (0, 0, 0) and (-2, -2, -2) count three directions and are M1,
     (0, 0, 3) counts two and is M2, and (2, 3, -1) counts one and is M3.
     """
-    return _CLASS_BY_COUNT[sum(_non_decreasing_directions(s))]
+    return _CLASS_BY_COUNT[sum(_directions(s.ks, s.ds, s.pqr))]
 
 
 def mk_class_matm(m: MatM) -> MkClass:
@@ -224,7 +206,7 @@ def mk_class_matm(m: MatM) -> MkClass:
     if not m.is_positive():
         raise DomainError("mk_class_matm requires a positive matrix")
     squares = [a * b for a, b in m.columns()]
-    return _CLASS_BY_COUNT[sum(_exact_directions((1, 1, 1), squares, m.x * m.y * m.z))]
+    return _CLASS_BY_COUNT[sum(_directions((1, 1, 1), squares, m.x * m.y * m.z))]
 
 
 def descent_step(s: TripleS, rel_eps: float = 0.0) -> Optional[tuple[int, TripleS]]:
@@ -233,7 +215,7 @@ def descent_step(s: TripleS, rel_eps: float = 0.0) -> Optional[tuple[int, Triple
     Returns None when no direction strictly decreases, i.e. s is M1.
     For an M2 triple the direction is unique.
     """
-    flags = _non_decreasing_directions(s, rel_eps)
+    flags = _directions(s.ks, s.ds, s.pqr, rel_eps)
     for i, non_decreasing in enumerate(flags, start=1):
         if not non_decreasing:
             return i, gamma_s(s, i)
@@ -271,96 +253,33 @@ def _angles(ks: tuple[float, float, float]) -> Optional[tuple[list[float], float
 def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     """Descend a cluster-positive triple to its class A minimum or class B limit.
 
-    Exact backend: repeatedly apply the unique strictly-decreasing gamma
-    while the triple is M2; the reached M1 element is the class A
+    A float triple whose angle gap is within its tolerance (_angles) is on
+    C = 4 and descends by Euclid on its angles (_ab_class_angles). Every
+    other triple repeatedly takes the unique strictly-decreasing gamma
+    while it is M2, and the M1 element reached is the class A
     representative. (Over triples with integer squares the answer is
-    always A.) Float backend: a triple whose angle gap is within its
-    tolerance (_angles) is on C = 4. It then descends by
-    Euclid on its angles (_ab_class_angles). Any other float triple is off
-    C = 4, where class B cannot occur, and runs the exact loop with
-    comparisons slack by FLOAT_CLASS_EPS.
+    always A, and off C = 4 class B cannot occur.) The loop steps the
+    stored layout in place (_directions, _gamma_step), with float
+    comparisons slack by FLOAT_CLASS_EPS. The radicands of an exact triple
+    never change: gamma keeps a nonzero entry's radicand, and no zero
+    entry is stepped, since a step changes one entry of a triple with none
+    zero and a triple with exactly one zero entry is M3. Every step
+    shrinks the entry it changes, so the iterate that is returned or
+    carried by an error is stored as it stands, without a width check; a
+    representative reached in no step is s itself.
     Hitting the cap raises IterationCapExceeded with the last iterate; a
     negative cap is a DomainError, and cap = 0 allows no step.
     """
     ensure_budget(cap, "cap")
-    if s.backend == "exact":
-        return _ab_class_exact(s, cap)
-    if not s.is_positive():
-        raise DomainError("ab_class requires a positive triple")
-    found = _angles(s.ks)
-    if found is not None and abs(found[1]) <= found[2]:
-        return _ab_class_angles(s, found[0], cap)
-    cur = s
-    word: list[int] = []
-    for iterations in itertools.count():
-        flags = _non_decreasing_directions(cur, FLOAT_CLASS_EPS)
-        count = sum(flags)
-        if count == 3:
-            return ABClass(ABKind.A, _path(tuple(word)), iterations, representative=cur)
-        if count < 2:
-            raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
-        if iterations >= cap:
-            raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=cur)
-        i = flags.index(False) + 1
-        word.append(i)
-        cur = gamma_s(cur, i)
-    raise AssertionError("unreachable")
-
-
-def _from_angles(angles: list[float]) -> TripleS:
-    """The float triple whose entries are 2 cosh(angle)."""
-    return TripleS.approx(*(2 * math.cosh(a) for a in angles))
-
-
-def _ab_class_angles(s: TripleS, angles: list[float], cap: int) -> ABClass:
-    """ab_class on a float triple on C = 4, given the angles of its entries.
-
-    Each step is one subtraction: the largest angle becomes the difference
-    of the other two, and its 1-based index goes into the word. Class B
-    when the middle angle is below ANGLE_RESOLUTION times the largest
-    starting angle; class A when the smallest is at most ANGLE_RESOLUTION
-    times the middle one. Its representative is built from the angles with
-    the smallest set to 0, which puts exactly 2.0 in its place, and the
-    largest set to the middle one, so it is M1. The representative reached
-    in no step is s itself when s is M1; an s whose two larger angles
-    differ within the routing slack can be M2, and then it too is built
-    from the angles. The iterate carried by IterationCapExceeded is s at
-    cap = 0 and built from the angles after some steps.
-    """
-    b_limit = ANGLE_RESOLUTION * max(angles)
-    word: list[int] = []
-    for iterations in itertools.count():
-        lo, mid, hi = sorted(range(3), key=angles.__getitem__)
-        if angles[mid] < b_limit:  # strict, so the all-zero angles of (2, 2, 2) read A
-            return ABClass(ABKind.B, _path(tuple(word)), iterations, limit=(2.0, 2.0, 2.0))
-        if angles[lo] <= ANGLE_RESOLUTION * angles[mid]:
-            angles[lo], angles[hi] = 0.0, angles[mid]
-            rep = s if not word and all(_non_decreasing_directions(s)) else _from_angles(angles)
-            return ABClass(ABKind.A, _path(tuple(word)), iterations, representative=rep)
-        if iterations >= cap:
-            last = _from_angles(angles) if word else s
-            raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
-        angles[hi] = angles[mid] - angles[lo]
-        word.append(hi + 1)
-    raise AssertionError("unreachable")
-
-
-def _ab_class_exact(s: TripleS, cap: int) -> ABClass:
-    """ab_class on an exact triple, stepping in plain integers.
-
-    The radicands never change: gamma keeps a nonzero entry's radicand,
-    and no zero entry is stepped. A step changes one entry of a triple
-    with none zero, and a triple with exactly one zero entry is M3. Every
-    step shrinks the entry it changes, so the iterate that is returned or
-    carried by an error is stored as it stands, without a width check; a
-    representative reached in no step is s itself.
-    """
     ks, ds, t = list(s.ks), s.ds, s.pqr
     if not (ks[0] > 0 and ks[1] > 0 and ks[2] > 0):
         raise DomainError("ab_class requires a positive triple")
+    found = _angles(s.ks) if ds is None else None
+    if found is not None and abs(found[1]) <= found[2]:
+        return _ab_class_angles(s, found[0], cap)
     word: list[int] = []
     for iterations in itertools.count():
-        flags = _exact_directions(ks, ds, t)
+        flags = _directions(ks, ds, t, FLOAT_CLASS_EPS)
         count = sum(flags)
         if count == 3:
             rep = _triple(tuple(ks), ds, t) if word else s
@@ -374,6 +293,46 @@ def _ab_class_exact(s: TripleS, cap: int) -> ABClass:
         i = flags.index(False)
         t = _gamma_step(ks, ds, t, i)
         word.append(i + 1)
+    raise AssertionError("unreachable")
+
+
+def _from_angles(angles: list[float]) -> TripleS:
+    """The float triple whose entries are 2 cosh(angle)."""
+    return TripleS.approx(*(2 * math.cosh(a) for a in angles))
+
+
+def _ab_class_angles(s: TripleS, angles: list[float], cap: int) -> ABClass:
+    """ab_class on a float triple on C = 4, given the angles of its entries.
+
+    Each step is one subtraction: the largest angle becomes the difference
+    of the other two, and its 1-based index goes into the word. Class B
+    when the middle angle is positive and below ANGLE_RESOLUTION times the
+    largest starting angle; class A when the smallest is at most
+    ANGLE_RESOLUTION times the middle one. Its representative is built
+    from the angles with the smallest set to 0, which puts exactly 2.0 in
+    its place, and the largest set to the middle one, so it is M1. The
+    representative reached in no step is s itself when s is M1; an s whose
+    two larger angles differ within the routing slack can be M2, and then
+    it too is built from the angles, as is the (2, 2, 2) of two zero
+    angles and a noise-level third. The iterate carried by
+    IterationCapExceeded is s at cap = 0 and built from the angles after
+    some steps.
+    """
+    b_limit = ANGLE_RESOLUTION * max(angles)
+    word: list[int] = []
+    for iterations in itertools.count():
+        lo, mid, hi = sorted(range(3), key=angles.__getitem__)
+        if 0 < angles[mid] < b_limit:  # two zero angles read A, as (2, 2, 2) does
+            return ABClass(ABKind.B, _path(tuple(word)), iterations, limit=(2.0, 2.0, 2.0))
+        if angles[lo] <= ANGLE_RESOLUTION * angles[mid]:
+            angles[lo], angles[hi] = 0.0, angles[mid]
+            rep = s if not word and all(_directions(s.ks, s.ds, s.pqr)) else _from_angles(angles)
+            return ABClass(ABKind.A, _path(tuple(word)), iterations, representative=rep)
+        if iterations >= cap:
+            last = _from_angles(angles) if word else s
+            raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
+        angles[hi] = angles[mid] - angles[lo]
+        word.append(hi + 1)
     raise AssertionError("unreachable")
 
 
@@ -454,29 +413,16 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
 def one_two_orbit(s: TripleS, n: int) -> list[TripleS]:
     """The iterates of alternating gamma_1, gamma_2 starting from s.
 
-    Returns [s, gamma_1(s), gamma_2 gamma_1 (s), ...] with n applications,
-    checking along the way that the k-th iterate equals
-    (f_{k-1}, f_k, r) for k even and (f_k, f_{k-1}, r) for k odd, where
+    Returns [s, gamma_1(s), gamma_2 gamma_1 (s), ...] with n applications
+    of gamma_s, which holds only the entries to 64 bits. The k-th iterate
+    is (f_{k-1}, f_k, r) for k even and (f_k, f_{k-1}, r) for k odd, where
     f_{-1} = p, f_0 = q and f_{k+1} = r f_k - f_{k-1}.
     """
     if n < 0:
         raise DomainError(f"one_two_orbit requires n >= 0, got {n}")
     out = [s]
-    cur = s
-    fs = _recurrence(s.r, s.p, s.q)
-    f_prev, f_cur = next(fs), next(fs)
     for k in range(1, n + 1):
-        cur = gamma_s(cur, 1 if k % 2 == 1 else 2)
-        out.append(cur)
-        f_prev, f_cur = f_cur, next(fs)
-        expected = (f_prev, f_cur, s.r) if k % 2 == 0 else (f_cur, f_prev, s.r)
-        if s.backend == "exact":
-            assert cur.entries() == expected, (k, cur, expected)
-        else:
-            assert all(
-                math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
-                for a, b in zip(cur.entries(), expected)
-            ), (k, cur, expected)
+        out.append(gamma_s(out[-1], 2 - k % 2))
     return out
 
 
@@ -485,21 +431,31 @@ def find_negative_in_12_orbit(
 ) -> tuple[int, Union[Surd, float]]:
     """Smallest n >= 1 with f_n(s) < 0, for a positive triple with r < 2.
 
-    Existence is a theorem for 0 < r < 2; the budget only guards
-    against implementation bugs.
+    Walks the 1,2-orbit (one_two_orbit) in place on the stored layout:
+    f_n is written by _gamma_step on entry 0 for odd n and entry 1 for
+    even n, and each exact entry written is width-checked as gamma_s
+    checks it. Returns n and f_n, a Surd or a float. Existence is a
+    theorem for 0 < r < 2; the budget only guards against implementation
+    bugs. A negative cap is a DomainError, and cap = 0 allows no step.
     """
+    ensure_budget(cap, "cap")
     if not s.is_positive():
         raise DomainError("find_negative_in_12_orbit requires a positive triple")
     if not s.r < 2:
         raise DomainError(f"requires r < 2, got r = {s.r}")
-    for n, value in enumerate(_recurrence(s.r, s.p, s.q), start=-1):
-        if n >= 1 and value < 0:
-            return n, value
-        if n >= cap:
-            raise SearchBudgetExceeded(
-                f"no negative value within {cap} iterations; r = {s.r} should force one"
-            )
-    raise AssertionError("unreachable")
+    ks, ds, t = list(s.ks), s.ds, s.pqr
+    # Step n replaces f_{n-2}. No zero entry is stepped: the first zero
+    # f_m follows a positive f_{m-1}, so f_{m+1} = -f_{m-1} < 0 ends the walk.
+    for n in range(1, cap + 1):
+        i = 1 - n % 2
+        t = _gamma_step(ks, ds, t, i)
+        if ds is not None:
+            _check_widths(ks[i], ds[i])
+        if ks[i] < 0:
+            return n, ks[i] if ds is None else _surd(ks[i], ds[i])
+    raise SearchBudgetExceeded(
+        f"no negative value within {cap} iterations; r = {s.r} should force one"
+    )
 
 
 def analyze_12_sequence(s: TripleS) -> SequenceBehavior:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ResourceError, ensure_budget
-from .matrices import TripleS, _exact_directions, _exact_triple, markov_c_s
+from .matrices import TripleS, _directions, _exact_triple, markov_c_s
 from .surd import _canonical
 from .value import Value
 
@@ -69,7 +69,7 @@ class M1Representative(Value):
 
     Checked on the triple's stored ks, ds and pqr: each square is k**2 * d of
     a positive entry, so abc = pqr**2, and the package's own predicates decide
-    M1 (matrices._exact_directions) and the constant (matrices.markov_c_s)."""
+    M1 (matrices._directions) and the constant (matrices.markov_c_s)."""
 
     __slots__ = ("triple", "squares", "markov")
     triple: TripleS
@@ -85,7 +85,7 @@ class M1Representative(Value):
         a, b, c = squares
         if not a >= b >= c > 0:
             raise DomainError(f"squares must satisfy a >= b >= c > 0, got {squares}")
-        if not all(_exact_directions(ks, ds, triple.pqr)):
+        if not all(_directions(ks, ds, triple.pqr)):
             raise DomainError(f"sqrt(abc) = {triple.pqr} < 2a = {2 * a}: not descent-minimal")
         constant = markov_c_s(triple)
         if constant != markov:

@@ -25,16 +25,19 @@ An exact triple is held in plain integers and stores nothing else: ks,
 the signed coefficients, ds, the squarefree radicands (1 for a zero
 entry), and pqr, the unbounded integer product; entry i is
 ks[i] * sqrt(ds[i]). Its p, q and r are read-only properties that build
-a Surd when read, which only text, JSON, ordering and the Surd
-arithmetic of chebyshev_u and the 1,2-orbit do. The direction test
-(_exact_directions) and the gamma step (_gamma_step) work on
-(ks, ds, t = pqr) alone, and gamma_s and the exact descent hand their
-results to _triple, which stores them as given; the descents likewise
-hand their words, valid by construction, to _path. _exact_triple is the
-checked way in, fed (k, d) pairs by TripleS.parse (from surd._parse_kd),
-by the enumeration (split integer squares) and by the public constructor
-(from its Surd entries). It checks the 64-bit widths of the entries,
-multiplies out pqr and raises NotInShat when pqr is not an integer.
+a Surd when read, which only text, JSON, ordering and the r < 2 test of
+find_negative_in_12_orbit do. A float triple stores its floats in ks,
+None in ds and their product in pqr. The direction test (_directions)
+and the gamma step (_gamma_step) work on the stored layout
+(ks, ds, t = pqr) of either backend alone, and they are the only way the
+package steps a triple: gamma_s, the descent and the 1,2-orbit walks all
+go through them. gamma_s and the descent hand their results to _triple, which
+stores them as given; the descents likewise hand their words, valid by
+construction, to _path. _exact_triple is the checked way in, fed (k, d)
+pairs by TripleS.parse (from surd._parse_kd), by the enumeration (split
+integer squares) and by the public constructor (from its Surd entries).
+It checks the 64-bit widths of the entries, multiplies out pqr and
+raises NotInShat when pqr is not an integer.
 """
 
 from __future__ import annotations
@@ -213,13 +216,13 @@ def _exact_triple(pairs: Iterable[tuple[int, int]]) -> TripleS:
     return _triple(tuple(ks), tuple(ds), coeff)
 
 
-def _triple(ks: tuple[int, ...], ds: tuple[int, ...], pqr: int) -> TripleS:
-    """The exact triple storing ks, ds and pqr, which the caller vouches for.
+def _triple(ks: tuple, ds: Optional[tuple[int, ...]], pqr: Union[int, float]) -> TripleS:
+    """The triple storing ks, ds and pqr, which the caller vouches for.
 
-    Nothing is checked; only the radicand of a zero entry is set to 1, so
-    that one value has one layout.
+    Nothing is checked; only the radicand of an exact zero entry is set to
+    1, so that one value has one layout.
     """
-    if 0 in ks:
+    if ds is not None and 0 in ks:
         ds = tuple(d if k else 1 for k, d in zip(ks, ds))
     s = object.__new__(TripleS)
     object.__setattr__(s, "ks", ks)
@@ -407,19 +410,31 @@ def gamma_tuple(t: SixTuple, k: int) -> SixTuple:
     raise DomainError(f"gamma index must be 1, 2 or 3, got {k}")
 
 
-# -- exact triples in plain integers -----------------------------------
+# -- the stored triple layout, stepped in place ------------------------
 
 
-def _exact_directions(ks: Sequence[int], ds: Sequence[int], t: int) -> list[bool]:
+def _directions(
+    ks: Sequence, ds: Optional[Sequence[int]], t: Union[int, float], rel_eps: float = 0.0
+) -> list[bool]:
     """For each entry i: is s_i <= gamma_i(s), i.e. 2 s_i <= the product of the others?
 
-    Entry i is ks[i] * sqrt(ds[i]) and t = pqr. Only ks[i]**2 * ds[i] and the
-    sign of ks[i] are read, so ds need not be squarefree: a positive matrix
-    is ks = (1, 1, 1), ds = (xx', yy', zz'), t = xyz. For s_i != 0 the product
-    of the others is t / s_i, so the test is sign(s_i) (t - 2 s_i^2) >= 0;
-    for s_i = 0 it is the sign of that product.
+    Exact: entry i is ks[i] * sqrt(ds[i]) and t = pqr. Only ks[i]**2 * ds[i]
+    and the sign of ks[i] are read, so ds need not be squarefree: a positive
+    matrix is ks = (1, 1, 1), ds = (xx', yy', zz'), t = xyz. For s_i != 0 the
+    product of the others is t / s_i, so the test is sign(s_i) (t - 2 s_i^2)
+    >= 0; for s_i = 0 it is the sign of that product. rel_eps is ignored.
+
+    Float (ds is None): the products of the other two entries are formed
+    directly, and rel_eps is a relative slack so that noise-level
+    differences count as non-decreasing; with rel_eps = 0 there is no
+    slack, even on a product that overflows to inf.
     """
     flags = []
+    if ds is None:
+        for own, prod in zip(ks, (ks[1] * ks[2], ks[2] * ks[0], ks[0] * ks[1])):
+            slack = rel_eps * max(1.0, abs(prod)) if rel_eps else 0.0
+            flags.append(own * 2 <= prod + slack)
+        return flags
     for i in (0, 1, 2):
         k = ks[i]
         if k:
@@ -430,16 +445,23 @@ def _exact_directions(ks: Sequence[int], ds: Sequence[int], t: int) -> list[bool
     return flags
 
 
-def _gamma_step(ks: list[int], ds: Sequence[int], t: int, i: int) -> int:
-    """gamma on nonzero entry i, in place; returns the new product.
+def _gamma_step(ks: list, ds: Optional[Sequence[int]], t: Union[int, float], i: int):
+    """gamma on entry i, in place; returns the new product.
 
-    The product of the other two entries is t / (ks[i] sqrt(ds[i])), which
-    is (t // (ks[i] ds[i])) sqrt(ds[i]) by an exact division, so the new
+    Float (ds is None): the entry becomes the product of the other two
+    minus itself, and the new product is ks[0] * ks[1] * ks[2], in the
+    order TripleS.approx multiplies. Exact, on a nonzero entry: the
+    product of the other two entries is t / (ks[i] sqrt(ds[i])), which is
+    (t // (ks[i] ds[i])) sqrt(ds[i]) by an exact division, so the new
     entry keeps radicand ds[i]. The new product is the product of the
-    other two squares minus t. Nothing is held to 64 bits here: a descent
-    step only shrinks the entry, and gamma_s checks the width of the entry
-    it changes.
+    other two squares minus t. Nothing is checked here, neither a float
+    that leaves the finite range nor a coefficient that leaves 64 bits: a
+    descent step only shrinks the entry, and gamma_s and the 1,2-orbit
+    walk check the entry they change.
     """
+    if ds is None:
+        ks[i] = ks[i - 2] * ks[i - 1] - ks[i]
+        return ks[0] * ks[1] * ks[2]
     k = ks[i]
     ks[i] = t // (k * ds[i]) - k
     a, b = ks[i - 2], ks[i - 1]
@@ -459,22 +481,23 @@ def gamma_m(m: MatM, k: int) -> MatM:
 def gamma_s(s: TripleS, k: int) -> TripleS:
     """gamma_k on a triple: one entry is replaced by (product of the others) - itself.
 
-    A float entry that is not finite raises OverflowLimitError.
+    A float entry that is not finite raises OverflowLimitError, and an
+    exact coefficient past 64 bits the width check's OverflowLimitError.
     """
     if k not in (1, 2, 3):
         raise DomainError(f"gamma index must be 1, 2 or 3, got {k}")
     i = k - 1
-    ds = s.ds
-    if ds is not None and s.ks[i]:
-        ks = list(s.ks)
+    ks, ds = list(s.ks), s.ds
+    if ds is None or ks[i]:
         t = _gamma_step(ks, ds, s.pqr, i)
-        _check_widths(ks[i], ds[i])  # a climb can leave 64 bits
+        if ds is not None:
+            _check_widths(ks[i], ds[i])  # a climb can leave 64 bits
+        elif not math.isfinite(ks[i]):
+            raise OverflowLimitError(f"gamma_{k} of ({s}) overflows the float range")
         return _triple(tuple(ks), ds, t)
-    # Floats, and an exact zero entry, which takes the others' radicand.
+    # An exact zero entry takes the others' radicand.
     entries = list(s.entries())
-    entries[i] = entries[i - 2] * entries[i - 1] - entries[i]
-    if ds is None and not math.isfinite(entries[i]):
-        raise OverflowLimitError(f"gamma_{k} of ({s}) overflows the float range")
+    entries[i] = entries[i - 2] * entries[i - 1]
     return TripleS(*entries)
 
 

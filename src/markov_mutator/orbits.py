@@ -29,7 +29,7 @@ from .matrices import (
     MutationPath,
     SixTuple,
     TripleS,
-    _exact_directions,
+    _directions,
     gamma_tuple,
     mutate_tuple,
 )
@@ -105,7 +105,7 @@ def reduce_to_fundamental(m: MatM) -> OrbitReport:
     word: list[int] = []
     while True:
         x, y, z, xp, yp, zp = cur
-        flags = _exact_directions((1, 1, 1), (x * xp, y * yp, z * zp), x * y * z)
+        flags = _directions((1, 1, 1), (x * xp, y * yp, z * zp), x * y * z)
         if all(flags):
             break
         step = flags.index(False) + 1

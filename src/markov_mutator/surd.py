@@ -25,9 +25,9 @@ takes bounded time whatever the size of the radicand.
 
 Only the operations the package needs are provided: multiplication,
 same-radicand subtraction, squaring and exact comparison. Multiplication
-and subtraction serve chebyshev_u and the alternating 1,2-orbit; the
-triple descent and gamma_s on a nonzero entry work on the coefficients
-in plain integers (matrices._gamma_step) instead. General sums of surds
+and subtraction serve chebyshev_u; the triple descent, the alternating
+1,2-orbit and gamma_s on a nonzero entry work on the coefficients in
+plain integers (matrices._gamma_step) instead. General sums of surds
 with distinct radicands are deliberately unsupported.
 """
 

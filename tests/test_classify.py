@@ -52,6 +52,7 @@ _pos = st.integers(min_value=1, max_value=9)
 M1_POOL = [
     r.triple for c in range(-20, 5) for r in enumerate_m1(c, p_square_cap=100 if c == 4 else None)
 ]
+M1_POOL_BELOW_4 = [s for s in M1_POOL if markov_c_s(s) < 4]
 
 
 @st.composite
@@ -354,6 +355,35 @@ def test_ab_class_matches_descent_step_loop(s, word):
     assert out.representative.pqr == end.pqr
 
 
+def float_climb(s, word):
+    """The float copy of s climbed by word, rejected when ab_class would route it to C = 4."""
+    for k in word:
+        try:
+            s = gamma_s(s, k)
+        except OverflowLimitError:
+            break
+    f = TripleS.approx(*s.as_floats())
+    found = _angles(f.ks)
+    assume(found is None or abs(found[1]) > found[2])
+    return f
+
+
+@given(st.sampled_from(M1_POOL_BELOW_4), st.lists(st.sampled_from([1, 2, 3]), max_size=8))
+def test_float_ab_class_matches_descent_step_loop(s, word):
+    """Off C = 4, ab_class on a float triple reaches, bit for bit, what repeated public
+    descent_step(..., rel_eps=FLOAT_CLASS_EPS) calls reach, by the same word."""
+    f = float_climb(s, word)
+    out = ab_class(f)
+    path, end = [], f
+    while (step := descent_step(end, rel_eps=FLOAT_CLASS_EPS)) is not None:
+        path.append(step[0])
+        end = step[1]
+    assert out.kind is ABKind.A
+    assert (list(out.path), out.iterations) == (path, len(path))
+    rep = out.representative
+    assert (repr(rep), repr(rep.pqr)) == (repr(end), repr(end.pqr))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -414,6 +444,21 @@ def test_cap_exceeded_carries_the_descent_step_iterate(s, word):
             ab_class(s, cap=cap)
         last = exc.value.last
         assert last == reached and hash(last) == hash(reached) and last.pqr == reached.pqr
+
+
+@given(st.sampled_from(M1_POOL_BELOW_4), st.lists(st.sampled_from([1, 2, 3]), max_size=8))
+def test_float_cap_exceeded_carries_the_descent_step_iterate(s, word):
+    """Off C = 4, with cap = n short of the float descent, IterationCapExceeded.last is
+    bit for bit the n-th descent_step(..., rel_eps=FLOAT_CLASS_EPS) iterate."""
+    f = float_climb(s, word)
+    trail = [f]
+    while (step := descent_step(trail[-1], rel_eps=FLOAT_CLASS_EPS)) is not None:
+        trail.append(step[1])
+    for cap, reached in enumerate(trail[:-1]):
+        with pytest.raises(IterationCapExceeded) as exc:
+            ab_class(f, cap=cap)
+        last = exc.value.last
+        assert (repr(last), repr(last.pqr)) == (repr(reached), repr(reached.pqr))
 
 
 @given(shat_triples())
@@ -721,8 +766,8 @@ def test_one_two_orbit_float_backend():
 
 @given(shat_triples(), st.integers(0, 8))
 def test_one_two_orbit_matches_chebyshev_form(s, n):
-    # f_k = q u_k(r) - p u_{k-1}(r); the orbit code asserts the
-    # correspondence internally, this re-derives it independently.
+    # f_k = q u_k(r) - p u_{k-1}(r): the orbit only applies gamma_s, and this
+    # derives its iterates independently from chebyshev_u.
     try:
         out = one_two_orbit(s, n)
         p, q, r = s.entries()
@@ -737,6 +782,14 @@ def test_one_two_orbit_matches_chebyshev_form(s, n):
         assume(False)
 
 
+def test_one_two_orbit_steps_where_the_surd_product_leaves_64_bits():
+    # gamma_1 subtracts p from r q = 9223372037000250000, past 64 bits; the new entry fits
+    s = TripleS.parse("9223372036854775000, 3037000500, 3037000500")
+    out = one_two_orbit(s, 1)
+    assert out[1] == gamma_s(s, 1)
+    assert str(out[1]) == "145475000, 3037000500, 3037000500"
+
+
 def test_find_negative_examples():
     n, value = find_negative_in_12_orbit(TripleS.parse("1, 1, 1"))
     assert n == 2 and value == Surd.from_int(-1)
@@ -747,6 +800,20 @@ def test_find_negative_examples():
     # f_1 = r*q - p = 0 is not yet negative, so a cap of one step trips.
     with pytest.raises(SearchBudgetExceeded):
         find_negative_in_12_orbit(TripleS.approx(1.0, 1.0, 1.0), cap=1)
+    with pytest.raises(DomainError) as exc:
+        find_negative_in_12_orbit(TripleS.parse("1, 1, 1"), cap=-1)
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == "cap must be non-negative, got -1"
+
+
+def test_find_negative_checks_the_width_of_each_entry_it_writes():
+    # r q = 9223372036854775810 passes 64 bits on the way to f_1 = 2**62 + 2; then
+    # f_2 = sqrt(2), and f_3 = 2 - f_1 is the first negative value
+    s = TripleS.parse("4611686018427387904, 4611686018427387905*sqrt(2), sqrt(2)")
+    assert find_negative_in_12_orbit(s) == (3, Surd.from_int(-4611686018427387904))
+    # f_1 = r q - p = 3 * 2**62 - 1 is itself past 64 bits
+    with pytest.raises(OverflowLimitError, match="exceeds the signed 64-bit range"):
+        find_negative_in_12_orbit(TripleS.parse("1, 4611686018427387904*sqrt(3), sqrt(3)"))
 
 
 @given(

@@ -258,6 +258,28 @@ def test_classify_float_two_two_two_is_case_a(capsys):
     assert invoke_json(capsys, "classify", "2, 2, 2")["ab"]["kind"] == "A"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("triple", ["2.0, 2.0, 2.0000000000000004", "2.0000000000000004, 2.0, 2.0"])
+def test_classify_float_two_zero_angles_is_case_a(capsys, triple, fmt):
+    # angles 0, 0 and a one-ulp 2.1e-8: a zero middle angle reads A, as (2, 2, 2) does
+    if fmt == "json":
+        assert invoke(capsys, "classify", triple, "--json") == (
+            0,
+            f'{{"triple": "{triple}", "backend": "float", "class": "M2", "markov": 4.0, '
+            '"cluster_positive": true, "ab": {"kind": "A", "iterations": 0, '
+            '"representative": "2.0, 2.0, 2.0", "path": []}, "caps": {"descent_cap": 10000}}\n',
+            "",
+        )
+    else:
+        assert invoke(capsys, "classify", triple) == (
+            0,
+            f"triple: {triple}\nbackend: float\nclass: M2\nmarkov: 4.0\n"
+            "cluster positive: yes\ncase: A after 0 descent steps\n"
+            "representative: 2.0, 2.0, 2.0\npath: \n",
+            "",
+        )
+
+
 def test_classify_non_gated_triple_has_no_descent(capsys):
     payload = invoke_json(capsys, "classify", "1, 1, 1")
     assert payload["cluster_positive"] is False

@@ -1,7 +1,7 @@
 """Every name a package module imports is used, every name it exports is bound,
-every private module-level function is referred to outside its own def, and
-the command line starts without the standard library's heavy introspection
-modules or json."""
+every private module-level function is referred to outside its own def, no
+module holds an assert statement, and the command line starts without the
+standard library's heavy introspection modules or json."""
 
 import ast
 import importlib
@@ -101,6 +101,13 @@ def test_module_binds_every_export(path):
     names = exported(path.read_text())
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_has_no_assert_statement(path):
+    # python -O strips assert statements, and the check with them
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
 def test_package_exports_exactly_what_it_imports():
