@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
@@ -366,23 +365,21 @@ def integer_fixed_points() -> frozenset[MatM]:
 # -- Chebyshev-like recursions ----------------------------------------
 
 
-def _recurrence(r, prev, cur):
-    """prev, cur and then each next term of x_{n+1} = r x_n - x_{n-1}, on either backend."""
-    yield prev
-    while True:
-        yield cur
-        prev, cur = cur, r * cur - prev
-
-
 def chebyshev_u(n: int, r: Union[Surd, float]):
     """u_n(r) with u_{-2} = -1, u_{-1} = 0 and u_{n+1} = r u_n - u_{n-1}.
 
-    Exact for Surd input (even-index values are integers, odd-index
-    values share r's radicand), plain float recursion otherwise. Every
-    call takes bounded time: an exact r with r**2 <= 3 first reduces n
-    modulo the period of the sequence, r = +-2 gives (+-1)**n (n + 1)
-    directly, a wider exact r overflows 64 bits within about 90 steps,
-    and a float r with n above CHEBYSHEV_FLOAT_CAP raises
+    Exact for Surd input r = k sqrt(d), in plain integers: u_j is c_j
+    for even j and c_j sqrt(d) for odd j, where c_{-2} = -1, c_{-1} = 0
+    and c_j = m_j c_{j-1} - c_{j-2} with m_j = k d for even j and k for
+    odd j. Only the c_j with j of the parity of n are width-checked, as
+    they are reached: for r**2 >= 5, |u_j| strictly increases with j, so
+    these checks pass exactly when c_n fits, while the other parity is
+    off by the factor sqrt(d) (u_91(sqrt(5)) fits although c_90 = u_90
+    does not). Nothing else is held to 64 bits. Plain float recursion
+    otherwise. Every call takes bounded time: an exact r with r**2 <= 3
+    first reduces n modulo the period of the sequence, r = +-2 gives
+    (+-1)**n (n + 1) directly, a wider exact r overflows 64 bits within
+    about 90 steps, and a float r with n above CHEBYSHEV_FLOAT_CAP raises
     IterationCapExceeded. A float value that is not finite raises
     OverflowLimitError.
     """
@@ -394,20 +391,24 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
             n = (n + 2) % _CHEBYSHEV_PERIODS[square] - 2
         elif square == 4:
             return Surd.from_int((r.sign if n % 2 else 1) * (n + 1))
-        seeds = Surd.from_int(-1), Surd.zero()
-    else:
-        if n > CHEBYSHEV_FLOAT_CAP:
-            raise IterationCapExceeded(
-                f"chebyshev_u on a float r takes n + 1 steps; n = {n} exceeds the cap of "
-                f"{CHEBYSHEV_FLOAT_CAP}"
-            )
-        seeds = -1.0, 0.0
-    # Only a wide exact r is walked for an n past sys.maxsize, the most islice
-    # can skip, and it overflows 64 bits within about 90 steps.
-    cur = next(itertools.islice(_recurrence(r, *seeds), min(n + 2, sys.maxsize), None))
-    if isinstance(cur, float) and not math.isfinite(cur):
+        k, d = r.k, r.radicand
+        c, following = -1, 0  # c_{j-1} and c_j, from j = -1
+        for j in range(n + 2):
+            c, following = following, (k if j % 2 else k * d) * following - c
+            if (n - j) % 2:  # c is c_{j-1}, of the parity of n
+                _check_widths(c, 1)
+        return _surd(c, d if n % 2 else 1)
+    if n > CHEBYSHEV_FLOAT_CAP:
+        raise IterationCapExceeded(
+            f"chebyshev_u on a float r takes n + 1 steps; n = {n} exceeds the cap of "
+            f"{CHEBYSHEV_FLOAT_CAP}"
+        )
+    prev, cur = -1.0, 0.0
+    for _ in range(n + 2):
+        prev, cur = cur, r * cur - prev
+    if not math.isfinite(prev):
         raise OverflowLimitError(f"u_{n}({r}) overflows the float range")
-    return cur
+    return prev
 
 
 def one_two_orbit(s: TripleS, n: int) -> list[TripleS]:
@@ -433,8 +434,9 @@ def find_negative_in_12_orbit(
 
     Walks the 1,2-orbit (one_two_orbit) in place on the stored layout:
     f_n is written by _gamma_step on entry 0 for odd n and entry 1 for
-    even n, and each exact entry written is width-checked as gamma_s
-    checks it. Returns n and f_n, a Surd or a float. Existence is a
+    even n, and each entry written is checked as gamma_s checks it: an
+    exact coefficient past 64 bits and a float that is not finite raise
+    OverflowLimitError. Returns n and f_n, a Surd or a float. Existence is a
     theorem for 0 < r < 2; the budget only guards against implementation
     bugs. A negative cap is a DomainError, and cap = 0 allows no step.
     """
@@ -451,6 +453,8 @@ def find_negative_in_12_orbit(
         t = _gamma_step(ks, ds, t, i)
         if ds is not None:
             _check_widths(ks[i], ds[i])
+        elif not math.isfinite(ks[i]):
+            raise OverflowLimitError(f"f_{n} of the 1,2-orbit of ({s}) overflows the float range")
         if ks[i] < 0:
             return n, ks[i] if ds is None else _surd(ks[i], ds[i])
     raise SearchBudgetExceeded(

@@ -31,13 +31,16 @@ None in ds and their product in pqr. The direction test (_directions)
 and the gamma step (_gamma_step) work on the stored layout
 (ks, ds, t = pqr) of either backend alone, and they are the only way the
 package steps a triple: gamma_s, the descent and the 1,2-orbit walks all
-go through them. gamma_s and the descent hand their results to _triple, which
-stores them as given; the descents likewise hand their words, valid by
-construction, to _path. _exact_triple is the checked way in, fed (k, d)
-pairs by TripleS.parse (from surd._parse_kd), by the enumeration (split
-integer squares) and by the public constructor (from its Surd entries).
-It checks the 64-bit widths of the entries, multiplies out pqr and
-raises NotInShat when pqr is not an integer.
+go through them. gamma_s on a nonzero entry and the descent hand their
+results to _triple, which stores them as given; the descents likewise
+hand their words, valid by construction, to _path. _exact_triple is the
+checked way in, fed (k, d) pairs by TripleS.parse (from surd._parse_kd),
+by the enumeration (split integer squares), by the public constructor
+(from its Surd entries), by sk (products of split column entries) and by
+gamma_s on a zero entry (the product of the other two pairs). It checks
+the 64-bit widths of the entries, multiplies out pqr and raises
+NotInShat when pqr is not an integer. Every product of two exact values
+is surd._product on their (k, d) pairs; no Surd arithmetic is done here.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .errors import (
     SignMismatch,
     ensure_int64,
 )
-from .surd import Surd, _check_widths, _parse_kd, _render, _surd, surd_from_integer_square
+from .surd import Surd, _canonical, _check_widths, _parse_kd, _product, _render, _surd
 from .value import Value
 
 __all__ = [
@@ -194,10 +197,9 @@ def _exact_triple(pairs: Iterable[tuple[int, int]]) -> TripleS:
 
     Every d is squarefree, and 1 where k is 0. The 64-bit widths of each
     pair are checked before the next pair is read, so a lazily parsed
-    entry fails in order. pqr is multiplied in plain integers, the
-    radicands one at a time with their gcd taken out as Surd
-    multiplication does, and nothing is held to 64 bits; a pqr that is
-    not an integer raises NotInShat.
+    entry fails in order. pqr is folded in plain integers by
+    surd._product, one entry at a time, and nothing is held to 64 bits; a
+    pqr that is not an integer raises NotInShat.
     """
     ks, ds = [], []
     coeff = rad = 1
@@ -205,9 +207,7 @@ def _exact_triple(pairs: Iterable[tuple[int, int]]) -> TripleS:
         _check_widths(k, d)
         ks.append(k)
         ds.append(d)
-        g = math.gcd(rad, d)
-        coeff *= k * g
-        rad = (rad // g) * (d // g)
+        coeff, rad = _product(coeff, rad, k, d)
     if coeff and rad != 1:
         entries = ", ".join(map(_render, ks, ds))
         raise NotInShat(
@@ -483,6 +483,9 @@ def gamma_s(s: TripleS, k: int) -> TripleS:
 
     A float entry that is not finite raises OverflowLimitError, and an
     exact coefficient past 64 bits the width check's OverflowLimitError.
+    An exact zero entry becomes the product of the other two by
+    surd._product, and the triple is rebuilt by _exact_triple, whose width
+    check also covers the new radicand.
     """
     if k not in (1, 2, 3):
         raise DomainError(f"gamma index must be 1, 2 or 3, got {k}")
@@ -495,23 +498,23 @@ def gamma_s(s: TripleS, k: int) -> TripleS:
         elif not math.isfinite(ks[i]):
             raise OverflowLimitError(f"gamma_{k} of ({s}) overflows the float range")
         return _triple(tuple(ks), ds, t)
-    # An exact zero entry takes the others' radicand.
-    entries = list(s.entries())
-    entries[i] = entries[i - 2] * entries[i - 1]
-    return TripleS(*entries)
+    # An exact zero entry becomes the product of the others, with their radicand.
+    pairs = list(zip(ks, ds))
+    pairs[i] = _product(*pairs[i - 2], *pairs[i - 1])
+    return _exact_triple(pairs)
 
 
 def sk(m: MatM) -> TripleS:
     """The double-sided skew-symmetrization: entry signs times sqrt of column products.
 
-    sqrt(aa') is taken as sqrt(|a|) * sqrt(|a'|), so square roots are only
-    split from 64-bit entries, never from their product.
+    sqrt(aa') is taken as sqrt(|a|) * sqrt(|a'|), each root split on its
+    own and the two multiplied by surd._product, so square roots are only
+    split from 64-bit entries, never from their product. _exact_triple
+    checks the widths of the products, column by column.
     """
-    entries = []
-    for a, b in m.columns():
-        root = surd_from_integer_square(abs(a)) * surd_from_integer_square(abs(b))
-        entries.append(root if a >= 0 else -root)
-    return TripleS(*entries)
+    return _exact_triple(
+        _product(*_canonical(_sgn(a), abs(a)), *_canonical(1, abs(b))) for a, b in m.columns()
+    )
 
 
 def markov_c_m(m: MatM) -> int:

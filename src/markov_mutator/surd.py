@@ -13,9 +13,9 @@ the text grammar, turns a surd expression into the signed coefficient
 and squarefree radicand (k, d) with the same split. Surd.parse wraps
 that pair; TripleS.parse hands the three pairs straight to the triple
 builder, which checks them with _check_widths. Values derived inside the
-package (products, differences, negations, and the entries an exact
-TripleS builds when read) go through _surd, which checks only the 64-bit
-widths.
+package (the entries an exact TripleS builds when read, the values
+chebyshev_u returns, and the results of Surd arithmetic) go through
+_surd, which checks only the 64-bit widths.
 
 The split trial-divides by every f < 1000 while f**3 stays within the
 unfactored rest, which settles every radicand up to 10**9. A rest still
@@ -23,12 +23,17 @@ above that goes to a Miller-Rabin test and Pollard-Brent rho, which
 raises IterationCapExceeded once RHO_BUDGET steps are spent, so a split
 takes bounded time whatever the size of the radicand.
 
-Only the operations the package needs are provided: multiplication,
-same-radicand subtraction, squaring and exact comparison. Multiplication
-and subtraction serve chebyshev_u; the triple descent, the alternating
-1,2-orbit and gamma_s on a nonzero entry work on the coefficients in
-plain integers (matrices._gamma_step) instead. General sums of surds
-with distinct radicands are deliberately unsupported.
+The package multiplies exact values in one way, _product, on (k, d)
+pairs in unbounded integers: the pqr fold of the triple builder, gamma_s
+on a zero entry and sk call it, and Surd multiplication is _product with
+the width check of the value it stores. The descent, the 1,2-orbit walks
+and chebyshev_u step coefficients in plain integers, so no package code
+path does Surd arithmetic: a Surd is built only to show, compare or
+return a value. Multiplication, same-radicand subtraction and negation
+serve callers, such as the check of the 1,2-orbit against its Chebyshev
+closed form (acceptance criterion 7); squaring and exact comparison
+serve the package too. General sums of surds with distinct radicands are
+deliberately unsupported.
 """
 
 from __future__ import annotations
@@ -219,6 +224,13 @@ def _surd(k: int, d: int) -> Surd:
     return s
 
 
+def _product(k1: int, d1: int, k2: int, d2: int) -> tuple[int, int]:
+    """(k1 * sqrt(d1)) * (k2 * sqrt(d2)) for squarefree d1 and d2, as (k, d) with d
+    squarefree: the gcd of the radicands moves into the coefficient. Nothing is checked."""
+    g = math.gcd(d1, d2)
+    return k1 * k2 * g, (d1 // g) * (d2 // g)
+
+
 def _canonical(k: int, m: int) -> tuple[int, int]:
     """k * sqrt(m), for m >= 0, as (signed coefficient, squarefree radicand); zero is (0, 1)."""
     if not k or not m:
@@ -347,8 +359,7 @@ class Surd(Value):
             other = Surd.from_int(other)
         elif not isinstance(other, Surd):
             return NotImplemented
-        g = math.gcd(self.radicand, other.radicand)
-        return _surd(self.k * other.k * g, (self.radicand // g) * (other.radicand // g))
+        return _surd(*_product(self.k, self.radicand, other.k, other.radicand))
 
     __rmul__ = __mul__
 

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from markov_mutator.classify import (
     CHEBYSHEV_FLOAT_CAP,
@@ -744,6 +744,55 @@ def test_chebyshev_parity_structure():
         assert value.radicand == (1 if n % 2 == 0 else 3)
 
 
+def field_u(n, k, d):
+    """u_n(k sqrt(d)) as (a, b) with u_n = a + b sqrt(d), stepping the recursion in Z[sqrt(d)]."""
+    prev, cur = (-1, 0), (0, 0)
+    for _ in range(n + 2):
+        a, b = cur
+        prev, cur = cur, (k * b * d - prev[0], k * a - prev[1])
+    return prev
+
+
+@settings(max_examples=500, deadline=200)  # ms; a call takes at most 123 integer steps
+@given(
+    st.integers(-50, 50),
+    st.sampled_from([d for d in range(1, 31) if all(d % (f * f) for f in (2, 3, 5))]),
+    st.integers(-2, 120),
+)
+@example(2, 3, 38)
+@example(1, 5, 91)
+@example(-1, 5, 92)
+def test_exact_chebyshev_matches_an_integer_oracle(k, d, n):
+    # each u_n that fits in 64 bits is returned, and each that does not raises
+    a, b = field_u(n, k, d)
+    assert a == 0 or b == 0  # even indices are integers, odd ones multiples of sqrt(d)
+    r = Surd.make(k, d)
+    if abs(a + b) > 2**63 - 1:
+        with pytest.raises(OverflowLimitError, match="exceeds the signed 64-bit range"):
+            chebyshev_u(n, r)
+    else:
+        assert chebyshev_u(n, r) == Surd.make(a + b, d if b else 1)
+
+
+@pytest.mark.parametrize(
+    "n, r, expected",
+    [
+        (38, "2*sqrt(3)", "9172089397301669399"),
+        (38, "-2*sqrt(3)", "9172089397301669399"),
+        (13, "sqrt(1292)", "9216519633173869198*sqrt(323)"),
+        (13, "-sqrt(1292)", "-9216519633173869198*sqrt(323)"),
+        # u_90 = c_90 does not fit, u_91 = c_91 sqrt(5) does
+        (91, "sqrt(5)", "7540113804746346429*sqrt(5)"),
+        (67, "-sqrt(6)", "-8065401526663308356*sqrt(6)"),
+    ],
+)
+def test_exact_chebyshev_holds_only_the_value_to_64_bits(n, r, expected):
+    # r u_{n-1} leaves 64 bits on the way to these values, which fit
+    assert str(chebyshev_u(n, Surd.parse(r))) == expected
+    with pytest.raises(OverflowLimitError, match="exceeds the signed 64-bit range"):
+        chebyshev_u(n + 1, Surd.parse(r))
+
+
 # -- alternating 1,2-orbit ---------------------------------------------
 
 
@@ -814,6 +863,15 @@ def test_find_negative_checks_the_width_of_each_entry_it_writes():
     # f_1 = r q - p = 3 * 2**62 - 1 is itself past 64 bits
     with pytest.raises(OverflowLimitError, match="exceeds the signed 64-bit range"):
         find_negative_in_12_orbit(TripleS.parse("1, 4611686018427387904*sqrt(3), sqrt(3)"))
+
+
+def test_find_negative_float_walk_leaving_the_float_range_is_an_error():
+    # r q = 1.9999e308 is past the float range, so f_1 is inf: the walk stops at step 1
+    with pytest.raises(OverflowLimitError) as exc:
+        find_negative_in_12_orbit(TripleS.approx(1e308, 1e308, 1.9999))
+    assert str(exc.value) == (
+        "f_1 of the 1,2-orbit of (1e+308, 1e+308, 1.9999) overflows the float range"
+    )
 
 
 @given(

@@ -459,8 +459,28 @@ def test_chebyshev_overflow_is_resource_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_chebyshev_value_fits_where_the_surd_product_does_not(capsys, fmt):
+    # u_38(2 sqrt(3)) fits in 64 bits; r u_37 = 10098658586648453988 does not
+    code, out, err = invoke(capsys, "chebyshev", "38", "2*sqrt(3)", *fmt)
+    assert (code, err) == (0, "")
+    if fmt:
+        assert json.loads(out) == {
+            "n": 38,
+            "r": "2*sqrt(3)",
+            "u": {"sign": 1, "coeff": 9172089397301669399, "radicand": 1},
+            "text": "9172089397301669399",
+        }
+    else:
+        assert out == "9172089397301669399\n"
+    # an overflow names the first u_j of the parity of n past 64 bits, here u_46(3)
+    assert invoke(capsys, "chebyshev", "200", "3", *fmt) == (
+        2, "", "error: surd coefficient 19740274219868223167 exceeds the signed 64-bit range\n"
+    )
+
+
 def test_chebyshev_index_past_maxsize_overflows_like_any_other(capsys):
-    # more terms than islice can skip: the walk still ends at the 64-bit overflow
+    # an index past sys.maxsize: the walk still ends at the 64-bit overflow
     code, out, err = invoke(capsys, "chebyshev", str(2**63), "3")
     assert (code, out) == (2, "")
     assert err.startswith("error: surd coefficient ")

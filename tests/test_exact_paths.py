@@ -1,0 +1,94 @@
+"""No package code path does Surd arithmetic.
+
+Exact values are multiplied in plain integers by surd._product, and the
+walks step integer coefficients; a Surd is built only to show, compare or
+return a value. These tests make Surd multiplication, subtraction and
+negation raise and record the call, then run every package path that
+multiplies or steps exact values, and every command shown in the README.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from markov_mutator.classify import (
+    ab_class,
+    chebyshev_u,
+    find_negative_in_12_orbit,
+    one_two_orbit,
+)
+from markov_mutator.cli import run
+from markov_mutator.enumeration import enumerate_m1
+from markov_mutator.errors import OverflowLimitError
+from markov_mutator.matrices import MatM, TripleS, gamma_s, sk
+from markov_mutator.surd import Surd
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_SUBCOMMAND = r"(?:classify|reduce|orbit|enumerate|witness|lift|chebyshev|sweep|fixed-points)"
+
+
+def readme_commands():
+    """The argument lists of the README's `$ markov-mutator ...` lines and of its
+    inline commands that carry arguments."""
+    text = README.read_text(encoding="utf-8")
+    prompt = "$ markov-mutator "
+    found = [line[len(prompt):] for line in text.splitlines() if line.startswith(prompt)]
+    found += [
+        span for span in re.findall(rf"`({_SUBCOMMAND} [^`]*)`", text) if span != "chebyshev n r"
+    ]
+    return [shlex.split(command) for command in found]
+
+
+@pytest.fixture
+def no_surd_arithmetic(monkeypatch):
+    calls = []
+
+    def forbidden(name):
+        def method(*args):
+            calls.append(name)
+            raise AssertionError(f"Surd.{name} called inside the package")
+
+        return method
+
+    for name in ("__mul__", "__rmul__", "__sub__", "__neg__"):
+        monkeypatch.setattr(Surd, name, forbidden(name))
+    yield calls
+    assert calls == []
+
+
+def test_triple_paths_multiply_in_integers(no_surd_arithmetic):
+    assert str(gamma_s(TripleS.parse("0, 2*sqrt(3), sqrt(3)"), 1)) == "6, 2*sqrt(3), sqrt(3)"
+    assert str(gamma_s(TripleS.parse("sqrt(6), 0, sqrt(2)"), 2)) == "sqrt(6), 2*sqrt(3), sqrt(2)"
+    assert str(gamma_s(TripleS.parse("3, -2, 0"), 3)) == "3, -2, -6"
+    assert str(gamma_s(TripleS.parse("5, 2*sqrt(5), sqrt(5)"), 2)) == "5, 3*sqrt(5), sqrt(5)"
+    orbit = one_two_orbit(TripleS.parse("5, 2*sqrt(5), sqrt(5)"), 6)
+    assert str(orbit[-1]) == "25, 18*sqrt(5), sqrt(5)"
+    assert find_negative_in_12_orbit(TripleS.parse("1, 1, 1")) == (2, Surd.from_int(-1))
+    assert find_negative_in_12_orbit(TripleS.parse("2, sqrt(2), sqrt(2)")) == (2, Surd.make(-1, 2))
+    assert str(sk(MatM(5, 10, 1, 5, 2, 5))) == "5, 2*sqrt(5), sqrt(5)"
+    assert str(sk(MatM(-4, -1, -2, -1, -4, -2))) == "-2, -2, -2"
+    assert str(sk(MatM(0, 3, 2, 0, 6, 1))) == "0, 3*sqrt(2), sqrt(2)"
+    assert str(sk(MatM(-6, 0, 5, -15, 0, 3))) == "-3*sqrt(10), 0, sqrt(15)"
+    reps = enumerate_m1(-40)
+    assert reps
+    for rep in reps:
+        assert ab_class(rep.triple).representative == rep.triple
+    assert str(ab_class(TripleS.parse("6, 15, 3")).representative) == "3, 3, 3"
+
+
+@pytest.mark.parametrize("r", ["0", "1", "-sqrt(3)", "2", "-2", "sqrt(5)", "2*sqrt(3)", "-7"])
+def test_exact_chebyshev_steps_integer_coefficients(no_surd_arithmetic, r):
+    for n in range(-2, 41):
+        try:
+            chebyshev_u(n, Surd.parse(r))
+        except OverflowLimitError:
+            pass
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands(no_surd_arithmetic, capsys, argv, fmt):
+    assert run(argv + fmt) in (0, 1, 2)
+    capsys.readouterr()

@@ -391,6 +391,18 @@ def test_gamma_s_width():
     assert str(gamma_s(TripleS.parse("0, 2*sqrt(3), sqrt(3)"), 1)) == "6, 2*sqrt(3), sqrt(3)"
 
 
+def test_products_of_two_entries_are_width_checked_where_they_are_stored():
+    # p and q are primes just above 2^62: the radicand of sqrt(p) sqrt(q) is pq
+    p, q = 4611686018427387904 + 135, 4611686018427387904 + 163
+    message = "surd radicand 21267647932558655340743346455847130613 exceeds the signed 64-bit range"
+    with pytest.raises(OverflowLimitError, match=message):
+        sk(MatM(p, q, 1, q, p, 1))
+    with pytest.raises(OverflowLimitError, match=message):
+        gamma_s(TripleS.parse(f"0, sqrt({p}), sqrt({q})"), 1)
+    with pytest.raises(OverflowLimitError, match="surd coefficient 18446744073709551616 exceeds"):
+        gamma_s(TripleS.parse("0, 4611686018427387904*sqrt(2), 2*sqrt(2)"), 1)
+
+
 def test_gamma_s_float_overflow_is_resource_error():
     with pytest.raises(OverflowLimitError, match=re.escape(
         "gamma_3 of (1e+200, 1e+200, 3.0) overflows the float range"
