@@ -47,7 +47,6 @@ from .errors import (
     ProductMismatch,
     RadicandMismatch,
     ResourceError,
-    SearchBudgetExceeded,
     SignMismatch,
     ValidationError,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "ProductMismatch",
     "RadicandMismatch",
     "ResourceError",
-    "SearchBudgetExceeded",
     "SequenceBehavior",
     "SignMismatch",
     "Surd",

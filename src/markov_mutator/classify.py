@@ -31,7 +31,6 @@ from .errors import (
     DomainError,
     IterationCapExceeded,
     OverflowLimitError,
-    SearchBudgetExceeded,
     ensure_budget,
 )
 from .matrices import (
@@ -75,8 +74,9 @@ FLOAT_CLASS_EPS = 1e-12
 ANGLE_RESOLUTION = 1e-9
 # The float slack on entries >= 2 (_angles, analyze_12_sequence).
 _FLOAT_SLACK = 1e-9
-NEGATIVE_SEARCH_CAP = 1_000_000
-CHEBYSHEV_FLOAT_CAP = 1_000_000
+# Bounds the rounding of the phase n theta + phi, at most pi + theta, in
+# find_negative_in_12_orbit.
+_PHASE_SLACK = 1e-14
 SEQUENCE_TOL = 1e-9
 
 # Each r with r**2 <= 3 is 2 cos(2 pi j / P) for an integer j, so u_n(r) =
@@ -365,6 +365,12 @@ def integer_fixed_points() -> frozenset[MatM]:
 # -- Chebyshev-like recursions ----------------------------------------
 
 
+def _angle(r: float) -> float:
+    """The angle theta of |r| != 2: |r| = 2 cos(theta) below 2 and 2 cosh(theta) above.
+    |r| / 2 is exact, so near 2 neither form cancels: theta keeps its relative precision."""
+    return math.acos(abs(r) / 2) if abs(r) < 2 else math.acosh(abs(r) / 2)
+
+
 def chebyshev_u(n: int, r: Union[Surd, float]):
     """u_n(r) with u_{-2} = -1, u_{-1} = 0 and u_{n+1} = r u_n - u_{n-1}.
 
@@ -375,13 +381,21 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
     they are reached: for r**2 >= 5, |u_j| strictly increases with j, so
     these checks pass exactly when c_n fits, while the other parity is
     off by the factor sqrt(d) (u_91(sqrt(5)) fits although c_90 = u_90
-    does not). Nothing else is held to 64 bits. Plain float recursion
-    otherwise. Every call takes bounded time: an exact r with r**2 <= 3
-    first reduces n modulo the period of the sequence, r = +-2 gives
-    (+-1)**n (n + 1) directly, a wider exact r overflows 64 bits within
-    about 90 steps, and a float r with n above CHEBYSHEV_FLOAT_CAP raises
-    IterationCapExceeded. A float value that is not finite raises
-    OverflowLimitError.
+    does not). Nothing else is held to 64 bits. Every exact call takes
+    bounded time: an r with r**2 <= 3 first reduces n modulo the period
+    of the sequence, r = +-2 gives (+-1)**n (n + 1) directly, and a wider
+    r overflows 64 bits within about 90 steps.
+
+    A float r is evaluated in closed form with the angle theta of |r|
+    (_angle): sin((n + 1) theta) / sin(theta) for |r| < 2 and
+    sinh((n + 1) theta) / sinh(theta) for |r| > 2, the latter written as
+    e^(n theta) (1 - e^(-2 (n + 1) theta)) / (1 - e^(-2 theta)) so that no
+    intermediate passes the float range before the value does, times
+    (-1)**n for r < 0; r = +-2 and the seeds n = -2, -1 give
+    (+-1)**n (n + 1). Relative to the envelope min(n + 1, 1 / sin(theta))
+    below 2 and |u_n| above, the error grows as (n + 1) theta 2**-52. A
+    value past the float range, or an n whose phase (n + 1) theta is,
+    raises OverflowLimitError.
     """
     if n < -2:
         raise DomainError(f"chebyshev_u requires n >= -2, got {n}")
@@ -398,17 +412,19 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
             if (n - j) % 2:  # c is c_{j-1}, of the parity of n
                 _check_widths(c, 1)
         return _surd(c, d if n % 2 else 1)
-    if n > CHEBYSHEV_FLOAT_CAP:
-        raise IterationCapExceeded(
-            f"chebyshev_u on a float r takes n + 1 steps; n = {n} exceeds the cap of "
-            f"{CHEBYSHEV_FLOAT_CAP}"
-        )
-    prev, cur = -1.0, 0.0
-    for _ in range(n + 2):
-        prev, cur = cur, r * cur - prev
-    if not math.isfinite(prev):
+    sign = -1 if r < 0 and n % 2 else 1
+    theta = _angle(r)
+    try:
+        if n < 0 or abs(r) == 2:  # the seeds and r = +-2; an int keeps u_{-1} 0.0, not -0.0
+            return float(sign * (n + 1))
+        if abs(r) < 2:
+            return sign * math.sin((n + 1) * theta) / math.sin(theta)
+        value = math.exp(n * theta) * math.expm1(-2 * (n + 1) * theta) / math.expm1(-2 * theta)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
         raise OverflowLimitError(f"u_{n}({r}) overflows the float range")
-    return prev
+    return sign * value
 
 
 def one_two_orbit(s: TripleS, n: int) -> list[TripleS]:
@@ -427,39 +443,55 @@ def one_two_orbit(s: TripleS, n: int) -> list[TripleS]:
     return out
 
 
-def find_negative_in_12_orbit(
-    s: TripleS, cap: int = NEGATIVE_SEARCH_CAP
-) -> tuple[int, Union[Surd, float]]:
+def find_negative_in_12_orbit(s: TripleS) -> tuple[int, Union[Surd, float]]:
     """Smallest n >= 1 with f_n(s) < 0, for a positive triple with r < 2.
 
-    Walks the 1,2-orbit (one_two_orbit) in place on the stored layout:
-    f_n is written by _gamma_step on entry 0 for odd n and entry 1 for
-    even n, and each entry written is checked as gamma_s checks it: an
-    exact coefficient past 64 bits and a float that is not finite raise
-    OverflowLimitError. Returns n and f_n, a Surd or a float. Existence is a
-    theorem for 0 < r < 2; the budget only guards against implementation
-    bugs. A negative cap is a DomainError, and cap = 0 allows no step.
+    In the convention f_{-1} = p, f_0 = q of one_two_orbit, with r =
+    2 cos(theta) (_angle), f_n sin(theta) = q sin((n + 1) theta) -
+    p sin(n theta) = R sin(n theta + phi), where phi = atan2(q sin(theta),
+    q (r / 2) - p) lies in (0, pi) and R**2 = p**2 + q**2 - pqr. So a
+    negative term always exists, and the first is at n = floor((pi - phi)
+    / theta) + 1.
+
+    A float triple is answered by that closed form, as the first n whose
+    phase n theta + phi passes pi + _PHASE_SLACK: a term within the
+    rounding of zero reads as zero, which is not yet negative. f_n is
+    computed as (a cos(n theta) + b sin(n theta)) / sin(theta) with
+    a = q sin(theta) and b = q (r / 2) - p, which forms no R: R can pass
+    the float range where f_n, at most max(p, q) in size, does not. A
+    value that is not finite raises OverflowLimitError.
+
+    An exact triple has r**2 in {1, 2, 3}, so theta is pi/3, pi/4 or pi/6
+    and the answer comes by step floor(pi / theta) <= 6. It walks the
+    1,2-orbit in place on the stored layout: f_n is written by _gamma_step
+    on entry 0 for odd n and entry 1 for even n, and an entry whose
+    coefficient passes 64 bits raises OverflowLimitError, as in gamma_s.
+    Returns n and f_n, a Surd or a float.
     """
-    ensure_budget(cap, "cap")
     if not s.is_positive():
         raise DomainError("find_negative_in_12_orbit requires a positive triple")
     if not s.r < 2:
         raise DomainError(f"requires r < 2, got r = {s.r}")
     ks, ds, t = list(s.ks), s.ds, s.pqr
+    if ds is None:
+        theta = _angle(ks[2])
+        # b = q (r / 2) - p cancels near r = 2, so it is formed exactly and rounded once
+        (pn, pd), (qn, qd), (rn, rd) = (e.as_integer_ratio() for e in ks)
+        a, b = ks[1] * math.sin(theta), (qn * rn * pd - 2 * pn * qd * rd) / (2 * pd * qd * rd)
+        n = math.floor((math.pi + _PHASE_SLACK - math.atan2(a, b)) / theta) + 1
+        value = (a * math.cos(n * theta) + b * math.sin(n * theta)) / math.sin(theta)
+        if not math.isfinite(value):
+            raise OverflowLimitError(f"f_{n} of the 1,2-orbit of ({s}) overflows the float range")
+        return n, value
     # Step n replaces f_{n-2}. No zero entry is stepped: the first zero
     # f_m follows a positive f_{m-1}, so f_{m+1} = -f_{m-1} < 0 ends the walk.
-    for n in range(1, cap + 1):
+    for n in itertools.count(1):
         i = 1 - n % 2
         t = _gamma_step(ks, ds, t, i)
-        if ds is not None:
-            _check_widths(ks[i], ds[i])
-        elif not math.isfinite(ks[i]):
-            raise OverflowLimitError(f"f_{n} of the 1,2-orbit of ({s}) overflows the float range")
+        _check_widths(ks[i], ds[i])
         if ks[i] < 0:
-            return n, ks[i] if ds is None else _surd(ks[i], ds[i])
-    raise SearchBudgetExceeded(
-        f"no negative value within {cap} iterations; r = {s.r} should force one"
-    )
+            return n, _surd(ks[i], ds[i])
+    raise AssertionError("unreachable")
 
 
 def analyze_12_sequence(s: TripleS) -> SequenceBehavior:
@@ -477,7 +509,6 @@ def analyze_12_sequence(s: TripleS) -> SequenceBehavior:
         if abs(p - q) <= SEQUENCE_TOL * max(1.0, abs(p)):
             return SequenceBehavior.CONSTANT_EQUAL
         return SequenceBehavior.DIVERGES
-    theta = math.acosh(r / 2.0)
-    if abs(q * math.exp(theta) - p) <= SEQUENCE_TOL * max(1.0, abs(p)):
+    if abs(q * math.exp(_angle(r)) - p) <= SEQUENCE_TOL * max(1.0, abs(p)):
         return SequenceBehavior.CONVERGES_TO_ZERO
     return SequenceBehavior.DIVERGES

@@ -28,7 +28,6 @@ __all__ = [
     "ProductMismatch",
     "RadicandMismatch",
     "ResourceError",
-    "SearchBudgetExceeded",
     "SignMismatch",
     "ValidationError",
     "ensure_budget",
@@ -93,10 +92,6 @@ class IterationCapExceeded(ResourceError):
     def __init__(self, message: str, last: object = None) -> None:
         super().__init__(message)
         self.last = last
-
-
-class SearchBudgetExceeded(ResourceError):
-    """A search exhausted its budget without finding what a theorem promises."""
 
 
 def ensure_int64(value: int, context: str = "entry") -> int:

@@ -30,10 +30,11 @@ find_negative_in_12_orbit do. A float triple stores its floats in ks,
 None in ds and their product in pqr. The direction test (_directions)
 and the gamma step (_gamma_step) work on the stored layout
 (ks, ds, t = pqr) of either backend alone, and they are the only way the
-package steps a triple: gamma_s, the descent and the 1,2-orbit walks all
-go through them. gamma_s on a nonzero entry and the descent hand their
-results to _triple, which stores them as given; the descents likewise
-hand their words, valid by construction, to _path. _exact_triple is the
+package steps a triple: gamma_s, the descent, one_two_orbit and the exact
+walk of find_negative_in_12_orbit all go through them. gamma_s on a
+nonzero entry and the descent hand their results to _triple, which stores
+them as given; the descents likewise hand their words, valid by
+construction, to _path. _exact_triple is the
 checked way in, fed (k, d) pairs by TripleS.parse (from surd._parse_kd),
 by the enumeration (split integer squares), by the public constructor
 (from its Surd entries), by sk (products of split column entries) and by
@@ -535,16 +536,20 @@ def markov_c_m_abs(m: MatM) -> int:
 def markov_c_s(s: TripleS):
     """p^2 + q^2 + r^2 - pqr; an exact integer for the exact backend.
 
-    A float result that is not finite raises OverflowLimitError.
+    For the float backend, the constant of the literal floats, rounded once:
+    it is formed exactly in integers over the common denominator of the
+    entries' ratios, so it does not cancel. A constant past the float range
+    raises OverflowLimitError.
     """
     ks, ds = s.ks, s.ds
     if ds is not None:
         return ks[0] * ks[0] * ds[0] + ks[1] * ks[1] * ds[1] + ks[2] * ks[2] * ds[2] - s.pqr
-    p, q, r = ks
-    c = p * p + q * q + r * r - s.pqr
-    if not math.isfinite(c):
+    (p, u), (q, v), (r, w) = (e.as_integer_ratio() for e in ks)
+    numerator = (p * v * w) ** 2 + (q * u * w) ** 2 + (r * u * v) ** 2 - p * q * r * u * v * w
+    try:
+        return numerator / (u * v * w) ** 2
+    except OverflowError:
         raise OverflowLimitError(f"p^2 + q^2 + r^2 - pqr of ({s}) overflows the float range")
-    return c
 
 
 _PERMS = {

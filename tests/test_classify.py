@@ -1,11 +1,12 @@
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from markov_mutator.classify import (
-    CHEBYSHEV_FLOAT_CAP,
     FLOAT_CLASS_EPS,
     ABKind,
     CyclicityCertificate,
@@ -32,7 +33,6 @@ from markov_mutator.errors import (
     DomainError,
     IterationCapExceeded,
     OverflowLimitError,
-    SearchBudgetExceeded,
 )
 from markov_mutator.matrices import (
     CyclicityClass,
@@ -707,6 +707,54 @@ def test_chebyshev_float_agrees_with_exact(n, d):
     assert float(chebyshev_u(n, r)) == pytest.approx(chebyshev_u(n, math.sqrt(d)), rel=1e-9)
 
 
+def oracle_u(n, r):
+    """u_n(r) of the literal float r at 60 digits, the envelope of |u_n| (min(|n + 1|,
+    1 / sin(theta)) below 2 and |u_n| above) and the angle theta of |r|."""
+    with mpmath.workdps(60):
+        x = abs(mpmath.mpf(r))
+        if x == 2:
+            return mpmath.mpf(-1 if r < 0 and n % 2 else 1) * (n + 1), abs(n + 1), 0.0
+        if x < 2:
+            theta = mpmath.acos(x / 2)
+            value = mpmath.sin((n + 1) * theta) / mpmath.sin(theta)
+            envelope = min(abs(n + 1), 1 / mpmath.sin(theta))
+        else:
+            theta = mpmath.acosh(x / 2)
+            value = mpmath.sinh((n + 1) * theta) / mpmath.sinh(theta)
+            envelope = abs(value)
+        return (-value if r < 0 and n % 2 else value), envelope, float(theta)
+
+
+def u_error(n, theta):
+    """The stated error of the float chebyshev_u relative to the envelope: the phase
+    (n + 1) theta carries the rounding of theta."""
+    return 4 * 2.0**-52 * (1 + abs(n + 1) * theta)
+
+
+def near_two(sign):
+    """Floats within 2**-1 to 2**-52 of 2 sign, on both sides."""
+    offsets = st.tuples(st.floats(-1, 1), st.integers(1, 52))
+    return offsets.map(lambda t: sign * 2 + t[0] * 2.0 ** -t[1])
+
+
+@settings(max_examples=300, deadline=200)  # ms; a call is O(1) and the oracle a few mpmath calls
+@given(
+    st.integers(-2, 10**6),
+    st.floats(-5, 5) | st.floats(-1e300, 1e300) | near_two(1) | near_two(-1),
+)
+@example(10**6, 2 - 1e-10)
+@example(10**6, -1.5)
+@example(1, 1e300)
+def test_float_chebyshev_matches_mpmath(n, r):
+    # within u_error of the envelope; a value past the float range raises
+    want, envelope, theta = oracle_u(n, r)
+    if abs(want) > sys.float_info.max:
+        with pytest.raises(OverflowLimitError, match="overflows the float range"):
+            chebyshev_u(n, r)
+    else:
+        assert abs(chebyshev_u(n, r) - want) <= u_error(n, theta) * envelope
+
+
 def recursion_u(n, r):
     """u_n(r) by running the recursion from u_{-2} = -1, u_{-1} = 0."""
     prev, cur = Surd.from_int(-1), Surd.zero()
@@ -730,8 +778,11 @@ def test_chebyshev_large_index_is_bounded():
     assert chebyshev_u(10**9, Surd.from_int(-2)) == Surd.from_int(10**9 + 1)
     with pytest.raises(OverflowLimitError):
         chebyshev_u(2**63, Surd.from_int(2))
-    with pytest.raises(IterationCapExceeded):
-        chebyshev_u(CHEBYSHEV_FLOAT_CAP + 1, 1.5)
+    # a float r answers any n in closed form, until (n + 1) theta leaves the float range
+    want, envelope, theta = oracle_u(10**9, 1.5)
+    assert abs(chebyshev_u(10**9, 1.5) - want) <= u_error(10**9, theta) * envelope
+    with pytest.raises(OverflowLimitError, match="overflows the float range"):
+        chebyshev_u(10**400, 1.5)
 
 
 def test_chebyshev_parity_structure():
@@ -839,20 +890,39 @@ def test_one_two_orbit_steps_where_the_surd_product_leaves_64_bits():
     assert str(out[1]) == "145475000, 3037000500, 3037000500"
 
 
+def oracle_negative(p, q, r):
+    """The first negative index of the 1,2-orbit of the literal floats at 60 digits, its
+    terms f and the envelope R / sin(theta); a term within 1e-45 of the envelope is zero."""
+
+    def f(m):
+        with mpmath.workdps(60):
+            return (a * mpmath.cos(m * theta) + b * mpmath.sin(m * theta)) / mpmath.sin(theta)
+
+    with mpmath.workdps(60):
+        p, q, r = (mpmath.mpf(e) for e in (p, q, r))
+        theta = mpmath.acos(r / 2)
+        a, b = q * mpmath.sin(theta), q * r / 2 - p
+        envelope = mpmath.hypot(a, b) / mpmath.sin(theta)
+        n = int(mpmath.floor((mpmath.pi - mpmath.atan2(a, b)) / theta)) + 1
+    if f(n) > -mpmath.mpf(10) ** -45 * envelope:
+        n += 1
+    return n, f, envelope
+
+
+# The stated error of the float find_negative_in_12_orbit value, relative to R / sin(theta).
+NEGATIVE_ERROR = 1e-14
+
+
 def test_find_negative_examples():
     n, value = find_negative_in_12_orbit(TripleS.parse("1, 1, 1"))
     assert n == 2 and value == Surd.from_int(-1)
     n, value = find_negative_in_12_orbit(TripleS.approx(2, 2, 1))
-    assert n == 2 and value == -2.0
+    assert n == 2 and abs(value + 2) <= NEGATIVE_ERROR * 4 / math.sqrt(3)  # R / sin(theta)
     with pytest.raises(DomainError):
         find_negative_in_12_orbit(TripleS.parse("3, 3, 2"))
-    # f_1 = r*q - p = 0 is not yet negative, so a cap of one step trips.
-    with pytest.raises(SearchBudgetExceeded):
-        find_negative_in_12_orbit(TripleS.approx(1.0, 1.0, 1.0), cap=1)
-    with pytest.raises(DomainError) as exc:
-        find_negative_in_12_orbit(TripleS.parse("1, 1, 1"), cap=-1)
-    assert type(exc.value) is DomainError
-    assert str(exc.value) == "cap must be non-negative, got -1"
+    # f_1 = r*q - p = 0 is not yet negative: the closed form reads the zero term as one
+    n, value = find_negative_in_12_orbit(TripleS.approx(1.0, 1.0, 1.0))
+    assert n == 2 and abs(value + 1) <= NEGATIVE_ERROR * 2 / math.sqrt(3)
 
 
 def test_find_negative_checks_the_width_of_each_entry_it_writes():
@@ -865,13 +935,53 @@ def test_find_negative_checks_the_width_of_each_entry_it_writes():
         find_negative_in_12_orbit(TripleS.parse("1, 4611686018427387904*sqrt(3), sqrt(3)"))
 
 
-def test_find_negative_float_walk_leaving_the_float_range_is_an_error():
-    # r q = 1.9999e308 is past the float range, so f_1 is inf: the walk stops at step 1
-    with pytest.raises(OverflowLimitError) as exc:
-        find_negative_in_12_orbit(TripleS.approx(1e308, 1e308, 1.9999))
-    assert str(exc.value) == (
-        "f_1 of the 1,2-orbit of (1e+308, 1e+308, 1.9999) overflows the float range"
-    )
+@pytest.mark.parametrize(
+    "p, q, r, expected",
+    [
+        (1.0, 1.0, 2 - 1e-12, 1_570_727),
+        (1.0, 1.0, 2 - 1e-14, 15_714_245),
+        (1.0, 1.0, 2 - 2**-52, 105_414_357),
+    ],
+)
+def test_find_negative_float_pinned_indices(p, q, r, expected):
+    # near r = 2 the first negative term comes after up to 10**8 steps of the orbit
+    n, value = find_negative_in_12_orbit(TripleS.approx(p, q, r))
+    m, f, envelope = oracle_negative(p, q, r)
+    assert n == m == expected and value < 0
+    assert abs(value - f(n)) <= NEGATIVE_ERROR * envelope
+
+
+def test_find_negative_float_past_the_float_range_orbit_answers():
+    # r q = 1.9999e308 is past the float range, and so are the terms before the first negative
+    # one, where the walk stopped at f_1 = inf. The first negative term is at most max(p, q) in
+    # size, so no float triple's answer is past the float range.
+    n, value = find_negative_in_12_orbit(TripleS.approx(1e308, 1e308, 1.9999))
+    m, f, envelope = oracle_negative(1e308, 1e308, 1.9999)
+    assert n == m == 157 and value < 0
+    assert abs(value - f(n)) <= NEGATIVE_ERROR * envelope
+
+
+def test_find_negative_float_answers_where_r_squared_sum_leaves_the_float_range():
+    # R**2 = p**2 + q**2 - pqr is past the float range; f_1 = r q - p is not
+    n, value = find_negative_in_12_orbit(TripleS.approx(1.7e308, 1.7e308, 0.5))
+    assert n == 1 and value == pytest.approx(-8.5e307, rel=1e-14)
+
+
+@settings(max_examples=300, deadline=200)  # ms; a call is O(1) and the oracle a few mpmath calls
+@given(
+    st.floats(0.01, 10) | st.floats(1e-300, 1e308),
+    st.floats(0.01, 10) | st.floats(1e-300, 1e308),
+    st.floats(1e-300, 2, exclude_max=True) | near_two(1).filter(lambda r: r < 2),
+)
+@example(2.5, 3.0, 1.5)  # f_2 = 0 exactly, so the first negative term is f_3
+@example(1.0, 89019744100212.0, 1.0)  # f_2 = -1, below the resolution of the envelope 1e14
+def test_float_find_negative_matches_mpmath(p, q, r):
+    # the oracle's index, except that a first negative term within twice NEGATIVE_ERROR of
+    # the envelope may read as zero: floats cannot resolve its sign
+    n, value = find_negative_in_12_orbit(TripleS.approx(p, q, r))
+    m, f, envelope = oracle_negative(p, q, r)
+    assert n == m or (n == m + 1 and f(m) >= -2 * NEGATIVE_ERROR * envelope)
+    assert value < 0 and abs(value - f(n)) <= NEGATIVE_ERROR * envelope
 
 
 @given(

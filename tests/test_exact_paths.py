@@ -30,15 +30,25 @@ _SUBCOMMAND = r"(?:classify|reduce|orbit|enumerate|witness|lift|chebyshev|sweep|
 
 
 def readme_commands():
-    """The argument lists of the README's `$ markov-mutator ...` lines and of its
-    inline commands that carry arguments."""
+    """(argv, shown) for each `$ markov-mutator ...` line in a README code block, where
+    shown is the output printed under it, up to the next prompt or the end of the block,
+    and (argv, None) for each inline command that carries arguments."""
     text = README.read_text(encoding="utf-8")
     prompt = "$ markov-mutator "
-    found = [line[len(prompt):] for line in text.splitlines() if line.startswith(prompt)]
-    found += [
-        span for span in re.findall(rf"`({_SUBCOMMAND} [^`]*)`", text) if span != "chebyshev n r"
-    ]
-    return [shlex.split(command) for command in found]
+    commands, shown, in_block = {}, None, False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            in_block, shown = not in_block, None
+        elif in_block and line.startswith(prompt):
+            shown = commands[line[len(prompt):]] = []
+        elif shown is not None:
+            shown.append(line)
+    found = {command: "\n".join(lines).rstrip("\n") + "\n" for command, lines in commands.items()}
+    for span in re.findall(rf"`({_SUBCOMMAND} [^`]*)`", text):
+        if span != "chebyshev n r":
+            found.setdefault(span, None)
+    argvs = {command: shlex.split(command) for command in found}
+    return [pytest.param(argvs[c], shown, id=" ".join(argvs[c])) for c, shown in found.items()]
 
 
 @pytest.fixture
@@ -88,7 +98,12 @@ def test_exact_chebyshev_steps_integer_coefficients(no_surd_arithmetic, r):
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
-@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
-def test_readme_commands(no_surd_arithmetic, capsys, argv, fmt):
+@pytest.mark.parametrize("argv, shown", readme_commands())
+def test_readme_commands(no_surd_arithmetic, capsys, argv, shown, fmt):
+    # a shown text output is stdout byte for byte, where a "..." line stands for any lines
     assert run(argv + fmt) in (0, 1, 2)
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    if shown is not None and not fmt:
+        parts = re.split(r"(?m)(^\.\.\.\n)", shown)
+        pattern = "".join(".*" if part == "...\n" else re.escape(part) for part in parts)
+        assert re.fullmatch(pattern, out, flags=re.S), (shown, out)
