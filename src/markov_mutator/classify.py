@@ -27,12 +27,7 @@ import math
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
-from .errors import (
-    DomainError,
-    IterationCapExceeded,
-    OverflowLimitError,
-    ensure_budget,
-)
+from .errors import DomainError, IterationCapExceeded, OverflowLimitError, ensure_budget
 from .matrices import (
     CyclicityClass,
     MatM,
@@ -393,9 +388,12 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
     intermediate passes the float range before the value does, times
     (-1)**n for r < 0; r = +-2 and the seeds n = -2, -1 give
     (+-1)**n (n + 1). Relative to the envelope min(n + 1, 1 / sin(theta))
-    below 2 and |u_n| above, the error grows as (n + 1) theta 2**-52. A
-    value past the float range, or an n whose phase (n + 1) theta is,
-    raises OverflowLimitError.
+    below 2 and |u_n| above, the error is within 4 (1 + (n + 1) theta)
+    2**-52, as the phase (n + 1) theta carries the rounding of theta. So
+    below 2 an n whose phase passes 2**40, where that bound reaches 2**-10,
+    raises OverflowLimitError rather than answer with too few correct
+    digits; above 2 the value leaves the float range long before, and a
+    value past the float range raises OverflowLimitError too.
     """
     if n < -2:
         raise DomainError(f"chebyshev_u requires n >= -2, got {n}")
@@ -418,6 +416,8 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
         if n < 0 or abs(r) == 2:  # the seeds and r = +-2; an int keeps u_{-1} 0.0, not -0.0
             return float(sign * (n + 1))
         if abs(r) < 2:
+            if n + 1 > 2**40 / theta:  # an exact comparison: no n converts to float first
+                raise OverflowLimitError(f"u_{n}({r}) is past float precision: its phase passes 2**40")
             return sign * math.sin((n + 1) * theta) / math.sin(theta)
         value = math.exp(n * theta) * math.expm1(-2 * (n + 1) * theta) / math.expm1(-2 * theta)
     except OverflowError:

@@ -79,10 +79,12 @@ class NotInShat(DomainError):
 
 
 class OverflowLimitError(ResourceError):
-    """A stored value left the signed 64-bit range.
+    """A value left the range it is held in.
 
-    Results are never silently wrapped; arithmetic is exact up to the
-    point of storage and the offending value is reported.
+    An exact value past signed 64 bits, a float past the float range, or
+    a float chebyshev_u whose phase is past the precision that keeps its
+    digits. Results are never silently wrapped; arithmetic is exact up to
+    the point of storage and the offending value is reported.
     """
 
 

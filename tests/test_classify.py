@@ -12,6 +12,7 @@ from markov_mutator.classify import (
     CyclicityCertificate,
     MkClass,
     SequenceBehavior,
+    _angle,
     _angles,
     ab_class,
     analyze_12_sequence,
@@ -778,11 +779,26 @@ def test_chebyshev_large_index_is_bounded():
     assert chebyshev_u(10**9, Surd.from_int(-2)) == Surd.from_int(10**9 + 1)
     with pytest.raises(OverflowLimitError):
         chebyshev_u(2**63, Surd.from_int(2))
-    # a float r answers any n in closed form, until (n + 1) theta leaves the float range
+    # a float r below 2 answers in closed form while the phase (n + 1) theta is below 2**40,
+    # where u_error reaches 2**-10; past it, or past the float range, it refuses
     want, envelope, theta = oracle_u(10**9, 1.5)
     assert abs(chebyshev_u(10**9, 1.5) - want) <= u_error(10**9, theta) * envelope
+    for n in (10**18, int(1.5e308), 10**400):  # phase 7e17; inf, where sin raises; n past floats
+        with pytest.raises(OverflowLimitError, match=r"past float precision: its phase passes 2\*\*40"):
+            chebyshev_u(n, 0.5 if n == int(1.5e308) else 1.5)
     with pytest.raises(OverflowLimitError, match="overflows the float range"):
-        chebyshev_u(10**400, 1.5)
+        chebyshev_u(10**400, 2.5)
+
+
+@pytest.mark.parametrize("r", [1.5, -0.5, 2 - 2**-52, -2 + 2**-30, 1e-300])
+def test_float_chebyshev_answers_up_to_the_phase_limit(r):
+    # the last n below the limit answers within u_error; the first past it raises
+    theta = _angle(r)
+    last = math.floor(2**40 / theta) - 1  # the last n with n + 1 <= 2**40 / theta
+    want, envelope, _ = oracle_u(last, r)
+    assert abs(chebyshev_u(last, r) - want) <= u_error(last, theta) * envelope
+    with pytest.raises(OverflowLimitError, match="past float precision"):
+        chebyshev_u(last + 1, r)
 
 
 def test_chebyshev_parity_structure():

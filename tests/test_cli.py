@@ -664,6 +664,16 @@ def test_chebyshev_large_index_answers_within_deadline():
     assert abs(float(done.stdout) - 1.4267226082043533) <= 1e-6
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "n, r", [("1000000000000000000", "1.5"), ("15" + "0" * 307, "0.5")], ids=["1e18", "1.5e308"]
+)
+def test_chebyshev_float_past_precision_is_resource_error(capsys, n, r, fmt):
+    # below 2 the phase (n + 1) theta carries theta's rounding: past 2**40 no answer is given
+    message = f"error: u_{n}({r}) is past float precision: its phase passes 2**40\n"
+    assert invoke(capsys, "chebyshev", n, r, *fmt) == (2, "", message)
+
+
 def test_enumerate_large_constant_answers_within_deadline():
     done = run_module("enumerate", "--markov", "-10000", timeout=20)
     assert done.returncode == 0, done.stderr
