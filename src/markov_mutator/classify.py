@@ -247,47 +247,97 @@ def _angles(ks: tuple[float, float, float]) -> Optional[tuple[list[float], float
 def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     """Descend a cluster-positive triple to its class A minimum or class B limit.
 
-    A float triple whose angle gap is within its tolerance (_angles) is on
-    C = 4 and descends by Euclid on its angles (_ab_class_angles). Every
-    other triple repeatedly takes the unique strictly-decreasing gamma
+    An exact triple descends in integer locals (_ab_class_exact). A float
+    triple whose angle gap is within its tolerance (_angles) is on C = 4
+    and descends by Euclid on its angles (_ab_class_angles). Every other
+    float triple repeatedly takes the unique strictly-decreasing gamma
     while it is M2, and the M1 element reached is the class A
-    representative. (Over triples with integer squares the answer is
-    always A, and off C = 4 class B cannot occur.) The loop steps the
-    stored layout in place (_directions, _gamma_step), with float
-    comparisons slack by FLOAT_CLASS_EPS. The radicands of an exact triple
-    never change: gamma keeps a nonzero entry's radicand, and no zero
-    entry is stepped, since a step changes one entry of a triple with none
-    zero and a triple with exactly one zero entry is M3. Every step
-    shrinks the entry it changes, so the iterate that is returned or
-    carried by an error is stored as it stands, without a width check; a
-    representative reached in no step is s itself.
+    representative; this loop steps the stored layout in place
+    (_directions, _gamma_step), with comparisons slack by
+    FLOAT_CLASS_EPS. (Over triples with integer squares the answer is
+    always A, and off C = 4 class B cannot occur.) Every step shrinks the
+    entry it changes, so the iterate that is returned or carried by an
+    error is stored as it stands, without a width check; a representative
+    reached in no step is s itself.
     Hitting the cap raises IterationCapExceeded with the last iterate; a
     negative cap is a DomainError, and cap = 0 allows no step.
     """
     ensure_budget(cap, "cap")
-    ks, ds, t = list(s.ks), s.ds, s.pqr
-    if not (ks[0] > 0 and ks[1] > 0 and ks[2] > 0):
+    k0, k1, k2 = s.ks
+    if not (k0 > 0 and k1 > 0 and k2 > 0):
         raise DomainError("ab_class requires a positive triple")
-    found = _angles(s.ks) if ds is None else None
+    if s.ds is not None:
+        return _ab_class_exact(s, cap)
+    found = _angles(s.ks)
     if found is not None and abs(found[1]) <= found[2]:
         return _ab_class_angles(s, found[0], cap)
+    ks, t = list(s.ks), s.pqr
     word: list[int] = []
     for iterations in itertools.count():
-        flags = _directions(ks, ds, t, FLOAT_CLASS_EPS)
+        flags = _directions(ks, None, t, FLOAT_CLASS_EPS)
         count = sum(flags)
         if count == 3:
-            rep = _triple(tuple(ks), ds, t) if word else s
+            rep = _triple(tuple(ks), None, t) if word else s
             return ABClass(ABKind.A, _path(tuple(word)), iterations, representative=rep)
         if count < 2:
-            cur = _triple(tuple(ks), ds, t)
+            cur = _triple(tuple(ks), None, t)
             raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
         if iterations >= cap:
-            last = _triple(tuple(ks), ds, t)
+            last = _triple(tuple(ks), None, t)
             raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
         i = flags.index(False)
-        t = _gamma_step(ks, ds, t, i)
+        t = _gamma_step(ks, None, t, i)
         word.append(i + 1)
     raise AssertionError("unreachable")
+
+
+def _ab_class_exact(s: TripleS, cap: int) -> ABClass:
+    """The loop of ab_class on a positive exact triple, held in integer locals.
+
+    Entry i is k_i sqrt(d_i), its square q_i = k_i**2 d_i, and t = pqr.
+    The direction flags unroll _directions at every sign: direction i is
+    non-decreasing when sign(k_i) (t - 2 q_i) >= 0, and for k_i = 0 when
+    the product of the other two coefficients is >= 0. A step unrolls
+    _gamma_step: k_i becomes t // (k_i d_i) - k_i, an exact division that
+    keeps d_i, q_i its new square and t the product of the other two
+    squares minus t; nothing else changes. The radicands never change, and
+    no zero or negative entry is stepped: a step changes one entry of a
+    triple with all entries positive, and a triple with exactly one entry
+    at most zero is M3, since t <= 0 makes the directions of the two
+    positive entries decreasing.
+    """
+    (k0, k1, k2), ds, t = s.ks, s.ds, s.pqr
+    d0, d1, d2 = ds
+    q0, q1, q2 = k0 * k0 * d0, k1 * k1 * d1, k2 * k2 * d2
+    word: list[int] = []
+    while True:
+        f0 = (t >= 2 * q0 if k0 > 0 else t <= 2 * q0) if k0 else k1 * k2 >= 0
+        f1 = (t >= 2 * q1 if k1 > 0 else t <= 2 * q1) if k1 else k2 * k0 >= 0
+        f2 = (t >= 2 * q2 if k2 > 0 else t <= 2 * q2) if k2 else k0 * k1 >= 0
+        if f0 and f1 and f2:
+            rep = _triple((k0, k1, k2), ds, t) if word else s
+            return ABClass(ABKind.A, _path(tuple(word)), len(word), representative=rep)
+        if f0 + f1 + f2 < 2:
+            cur = _triple((k0, k1, k2), ds, t)
+            raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
+        if len(word) >= cap:
+            last = _triple((k0, k1, k2), ds, t)
+            raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
+        if not f0:
+            k0 = t // (k0 * d0) - k0
+            q0 = k0 * k0 * d0
+            t = q1 * q2 - t
+            word.append(1)
+        elif not f1:
+            k1 = t // (k1 * d1) - k1
+            q1 = k1 * k1 * d1
+            t = q2 * q0 - t
+            word.append(2)
+        else:
+            k2 = t // (k2 * d2) - k2
+            q2 = k2 * k2 * d2
+            t = q0 * q1 - t
+            word.append(3)
 
 
 def _from_angles(angles: list[float]) -> TripleS:

@@ -29,19 +29,24 @@ a Surd when read, which only text, JSON, ordering and the r < 2 test of
 find_negative_in_12_orbit do. A float triple stores its floats in ks,
 None in ds and their product in pqr. The direction test (_directions)
 and the gamma step (_gamma_step) work on the stored layout
-(ks, ds, t = pqr) of either backend alone, and they are the only way the
-package steps a triple: gamma_s, the descent, one_two_orbit and the exact
-walk of find_negative_in_12_orbit all go through them. gamma_s on a
-nonzero entry and the descent hand their results to _triple, which stores
-them as given; the descents likewise hand their words, valid by
-construction, to _path. _exact_triple is the
-checked way in, fed (k, d) pairs by TripleS.parse (from surd._parse_kd),
-by the enumeration (split integer squares), by the public constructor
-(from its Surd entries), by sk (products of split column entries) and by
-gamma_s on a zero entry (the product of the other two pairs). It checks
-the 64-bit widths of the entries, multiplies out pqr and raises
-NotInShat when pqr is not an integer. Every product of two exact values
-is surd._product on their (k, d) pairs; no Surd arithmetic is done here.
+(ks, ds, t = pqr) of either backend alone. The test alone decides the
+class (mk_class, mk_class_matm, the M1 check of the enumeration) and the
+direction of descent_step and reduce_to_fundamental; gamma_s (and with
+it one_two_orbit), the float descent of ab_class and the exact walk of
+find_negative_in_12_orbit step through both. The exact descent of
+ab_class (classify._ab_class_exact) unrolls the same two rules on integer
+locals, so that a step updates only the entry it changes, that entry's
+square and pqr. gamma_s on a nonzero entry and the descents hand their
+results to _triple, which stores them as given; the descents and
+reduce_to_fundamental likewise hand their words, valid by construction,
+to _path. _exact_triple is the checked way in, fed (k, d) pairs by
+TripleS.parse (from surd._parse_kd), by the enumeration (split integer
+squares), by the public constructor (from its Surd entries), by sk
+(products of split column entries) and by gamma_s on a zero entry (the
+product of the other two pairs). It checks the 64-bit widths of the
+entries, multiplies out pqr and raises NotInShat when pqr is not an
+integer. Every product of two exact values is surd._product on their
+(k, d) pairs; no Surd arithmetic is done here.
 """
 
 from __future__ import annotations

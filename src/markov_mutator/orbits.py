@@ -30,6 +30,7 @@ from .matrices import (
     SixTuple,
     TripleS,
     _directions,
+    _path,
     gamma_tuple,
     mutate_tuple,
 )
@@ -113,7 +114,7 @@ def reduce_to_fundamental(m: MatM) -> OrbitReport:
         word.append(step)
     return OrbitReport(
         representative=MatM(*cur),
-        path=MutationPath(tuple(reversed(word))),
+        path=_path(tuple(reversed(word))),
         explored=len(word) + 1,
         is_minimal_certified=_is_entrywise_minimal(cur),
     )

@@ -1,8 +1,8 @@
 """The benchmark's own output check, run on one round of its triple-descent workload.
 
 bench/workloads.py is imported read-only: nothing under bench/ is written,
-not even bytecode. One seed-1 TripleDescent round goes through the
-workload's run and check as bench/run.py drives them, so a change that
+not even bytecode. One TripleDescent round per seed, 1 to 4, goes through
+the workload's run and check as bench/run.py drives them, so a change that
 breaks the representative, the path or the constant fails here, not only
 in a benchmark run.
 """
@@ -30,9 +30,10 @@ def workloads():
         sys.dont_write_bytecode = saved_flag
 
 
-def test_triple_descent_round_passes_the_benchmark_check(workloads):
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_triple_descent_round_passes_the_benchmark_check(workloads, seed):
     mm = SimpleNamespace(**{name: importlib.import_module(f"markov_mutator.{name}") for name in MODULES})
-    wl = workloads.TripleDescent(1, str(ROOT / "src"))
+    wl = workloads.TripleDescent(seed, str(ROOT / "src"))
     wl.warm(mm)
     assert len(wl.cases) > 1000
     for case in wl.cases:

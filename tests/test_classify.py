@@ -447,6 +447,37 @@ def test_cap_exceeded_carries_the_descent_step_iterate(s, word):
         assert last == reached and hash(last) == hash(reached) and last.pqr == reached.pqr
 
 
+@given(shat_triples())
+@example(TripleS.parse("sqrt(6), sqrt(3), 2*sqrt(2)"))  # M3 at 0, sqrt(3), sqrt(2)
+@example(TripleS.parse("sqrt(3), 2*sqrt(3), 5"))  # M3 at sqrt(3), -sqrt(3), 1
+@example(TripleS.parse("sqrt(6), 4, 3*sqrt(6)"))  # two steps to M1
+def test_exact_ab_class_matches_descent_step_loop_at_every_sign(s):
+    """On any positive exact triple, cluster-positive or not, ab_class agrees with a loop
+    of public descent_step calls: the same word, iterations, representative and pqr, or
+    the same M3 error at the first iterate that mk_class calls M3, which may hold a zero
+    or negative entry; and for every cap short of the end, the same last iterate."""
+    trail, word = [s], []
+    while mk_class(trail[-1]) is MkClass.M2:
+        i, image = descent_step(trail[-1])
+        trail.append(image)
+        word.append(i)
+    end = trail[-1]
+    if mk_class(end) is MkClass.M1:
+        out = ab_class(s)
+        assert (out.kind, list(out.path), out.iterations) == (ABKind.A, word, len(word))
+        assert out.representative == end and out.representative.pqr == end.pqr
+    else:
+        with pytest.raises(DomainError) as exc:
+            ab_class(s)
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == f"triple {end} is M3; the input was not cluster-positive"
+    for cap, reached in enumerate(trail[:-1]):
+        with pytest.raises(IterationCapExceeded) as exc:
+            ab_class(s, cap=cap)
+        last = exc.value.last
+        assert last == reached and last.pqr == reached.pqr
+
+
 @given(st.sampled_from(M1_POOL_BELOW_4), st.lists(st.sampled_from([1, 2, 3]), max_size=8))
 def test_float_cap_exceeded_carries_the_descent_step_iterate(s, word):
     """Off C = 4, with cap = n short of the float descent, IterationCapExceeded.last is

@@ -5,6 +5,8 @@ walks step integer coefficients; a Surd is built only to show, compare or
 return a value. These tests make Surd multiplication, subtraction and
 negation raise and record the call, then run every package path that
 multiplies or steps exact values, and every command shown in the README.
+One more makes building any Surd raise, then runs the exact descent from
+text to Markov constant.
 """
 
 import re
@@ -13,16 +15,19 @@ from pathlib import Path
 
 import pytest
 
+from markov_mutator import classify, matrices, surd
 from markov_mutator.classify import (
     ab_class,
     chebyshev_u,
+    descent_step,
     find_negative_in_12_orbit,
+    mk_class,
     one_two_orbit,
 )
 from markov_mutator.cli import run
 from markov_mutator.enumeration import enumerate_m1
 from markov_mutator.errors import OverflowLimitError
-from markov_mutator.matrices import MatM, TripleS, gamma_s, sk
+from markov_mutator.matrices import MatM, TripleS, gamma_s, markov_c_s, sk
 from markov_mutator.surd import Surd
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -86,6 +91,40 @@ def test_triple_paths_multiply_in_integers(no_surd_arithmetic):
     for rep in reps:
         assert ab_class(rep.triple).representative == rep.triple
     assert str(ab_class(TripleS.parse("6, 15, 3")).representative) == "3, 3, 3"
+
+
+def test_descent_hot_path_builds_no_surd(monkeypatch):
+    # M1 representatives climbed by short words, the last ones to a pqr past 64 bits; the
+    # expected answers come from descent_step before any Surd is forbidden
+    starts = [rep.triple for rep in enumerate_m1(-40)]
+    starts.append(TripleS.parse("1048583, 1048583, 1048583"))
+    cases = []
+    for start in starts:
+        for word in ((), (1,), (2, 1), (3, 1, 2), (1, 3, 2, 1)):
+            s = start
+            for k in word:
+                try:
+                    s = gamma_s(s, k)
+                except OverflowLimitError:
+                    break
+            path, end = [], s
+            while (step := descent_step(end)) is not None:
+                path.append(step[0])
+                end = step[1]
+            cases.append((str(s), mk_class(s), path, end, markov_c_s(s)))
+
+    def forbidden(*args):
+        raise AssertionError("a Surd was built on the exact descent path")
+
+    monkeypatch.setattr(surd.Surd, "__init__", forbidden)
+    for module in (surd, matrices, classify):  # each binds _surd by name
+        monkeypatch.setattr(module, "_surd", forbidden)
+    for text, cls, path, end, constant in cases:
+        s = TripleS.parse(text)
+        assert mk_class(s) is cls
+        out = ab_class(s)
+        assert (list(out.path), out.representative, out.representative.pqr) == (path, end, end.pqr)
+        assert markov_c_s(s) == constant
 
 
 @pytest.mark.parametrize("r", ["0", "1", "-sqrt(3)", "2", "-2", "sqrt(5)", "2*sqrt(3)", "-7"])
