@@ -34,7 +34,6 @@ from .matrices import (
     MutationPath,
     TripleS,
     _directions,
-    _gamma_step,
     _path,
     _triple,
     gamma_s,
@@ -247,20 +246,18 @@ def _angles(ks: tuple[float, float, float]) -> Optional[tuple[list[float], float
 def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     """Descend a cluster-positive triple to its class A minimum or class B limit.
 
+    The descent repeatedly takes the unique strictly-decreasing gamma while
+    the iterate is M2, and the M1 element reached is the class A
+    representative; an M3 iterate means the input was not cluster-positive.
     An exact triple descends in integer locals (_ab_class_exact). A float
     triple whose angle gap is within its tolerance (_angles) is on C = 4
     and descends by Euclid on its angles (_ab_class_angles). Every other
-    float triple repeatedly takes the unique strictly-decreasing gamma
-    while it is M2, and the M1 element reached is the class A
-    representative; this loop steps the stored layout in place
-    (_directions, _gamma_step), with comparisons slack by
+    float triple steps by gamma_s, with direction tests slack by
     FLOAT_CLASS_EPS. (Over triples with integer squares the answer is
-    always A, and off C = 4 class B cannot occur.) Every step shrinks the
-    entry it changes, so the iterate that is returned or carried by an
-    error is stored as it stands, without a width check; a representative
-    reached in no step is s itself.
-    Hitting the cap raises IterationCapExceeded with the last iterate; a
-    negative cap is a DomainError, and cap = 0 allows no step.
+    always A, and off C = 4 class B cannot occur.) A representative reached
+    in no step is s itself. Hitting the cap raises IterationCapExceeded
+    with the last iterate; a negative cap is a DomainError, and cap = 0
+    allows no step.
     """
     ensure_budget(cap, "cap")
     k0, k1, k2 = s.ks
@@ -271,49 +268,39 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     found = _angles(s.ks)
     if found is not None and abs(found[1]) <= found[2]:
         return _ab_class_angles(s, found[0], cap)
-    ks, t = list(s.ks), s.pqr
-    word: list[int] = []
-    for iterations in itertools.count():
-        flags = _directions(ks, None, t, FLOAT_CLASS_EPS)
+    cur, word = s, []
+    while True:
+        flags = _directions(cur.ks, None, cur.pqr, FLOAT_CLASS_EPS)
         count = sum(flags)
         if count == 3:
-            rep = _triple(tuple(ks), None, t) if word else s
-            return ABClass(ABKind.A, _path(tuple(word)), iterations, representative=rep)
+            return ABClass(ABKind.A, _path(tuple(word)), len(word), representative=cur)
         if count < 2:
-            cur = _triple(tuple(ks), None, t)
             raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
-        if iterations >= cap:
-            last = _triple(tuple(ks), None, t)
-            raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
-        i = flags.index(False)
-        t = _gamma_step(ks, None, t, i)
-        word.append(i + 1)
-    raise AssertionError("unreachable")
+        if len(word) >= cap:
+            raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=cur)
+        i = flags.index(False) + 1
+        cur = gamma_s(cur, i)
+        word.append(i)
 
 
 def _ab_class_exact(s: TripleS, cap: int) -> ABClass:
     """The loop of ab_class on a positive exact triple, held in integer locals.
 
     Entry i is k_i sqrt(d_i), its square q_i = k_i**2 d_i, and t = pqr.
-    The direction flags unroll _directions at every sign: direction i is
-    non-decreasing when sign(k_i) (t - 2 q_i) >= 0, and for k_i = 0 when
-    the product of the other two coefficients is >= 0. A step unrolls
-    _gamma_step: k_i becomes t // (k_i d_i) - k_i, an exact division that
-    keeps d_i, q_i its new square and t the product of the other two
-    squares minus t; nothing else changes. The radicands never change, and
-    no zero or negative entry is stepped: a step changes one entry of a
-    triple with all entries positive, and a triple with exactly one entry
-    at most zero is M3, since t <= 0 makes the directions of the two
-    positive entries decreasing.
+    Direction i is non-decreasing when t >= 2 q_i, the rule of _directions
+    for a positive entry. A step is gamma_s on a positive entry: k_i
+    becomes t // (k_i d_i) - k_i, q_i its new square and t the product of
+    the other two squares minus t; the radicands never change. A step
+    changes one entry of a positive triple, so only the last iterate can
+    hold an entry at most zero, and it is M3 under either rule: t <= 0
+    makes the directions of the two positive entries decreasing.
     """
     (k0, k1, k2), ds, t = s.ks, s.ds, s.pqr
     d0, d1, d2 = ds
     q0, q1, q2 = k0 * k0 * d0, k1 * k1 * d1, k2 * k2 * d2
     word: list[int] = []
     while True:
-        f0 = (t >= 2 * q0 if k0 > 0 else t <= 2 * q0) if k0 else k1 * k2 >= 0
-        f1 = (t >= 2 * q1 if k1 > 0 else t <= 2 * q1) if k1 else k2 * k0 >= 0
-        f2 = (t >= 2 * q2 if k2 > 0 else t <= 2 * q2) if k2 else k0 * k1 >= 0
+        f0, f1, f2 = t >= 2 * q0, t >= 2 * q1, t >= 2 * q2
         if f0 and f1 and f2:
             rep = _triple((k0, k1, k2), ds, t) if word else s
             return ABClass(ABKind.A, _path(tuple(word)), len(word), representative=rep)
@@ -364,20 +351,19 @@ def _ab_class_angles(s: TripleS, angles: list[float], cap: int) -> ABClass:
     """
     b_limit = ANGLE_RESOLUTION * max(angles)
     word: list[int] = []
-    for iterations in itertools.count():
+    while True:
         lo, mid, hi = sorted(range(3), key=angles.__getitem__)
         if 0 < angles[mid] < b_limit:  # two zero angles read A, as (2, 2, 2) does
-            return ABClass(ABKind.B, _path(tuple(word)), iterations, limit=(2.0, 2.0, 2.0))
+            return ABClass(ABKind.B, _path(tuple(word)), len(word), limit=(2.0, 2.0, 2.0))
         if angles[lo] <= ANGLE_RESOLUTION * angles[mid]:
             angles[lo], angles[hi] = 0.0, angles[mid]
             rep = s if not word and all(_directions(s.ks, s.ds, s.pqr)) else _from_angles(angles)
-            return ABClass(ABKind.A, _path(tuple(word)), iterations, representative=rep)
-        if iterations >= cap:
+            return ABClass(ABKind.A, _path(tuple(word)), len(word), representative=rep)
+        if len(word) >= cap:
             last = _from_angles(angles) if word else s
             raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
         angles[hi] = angles[mid] - angles[lo]
         word.append(hi + 1)
-    raise AssertionError("unreachable")
 
 
 # -- fixed points ------------------------------------------------------
@@ -513,34 +499,29 @@ def find_negative_in_12_orbit(s: TripleS) -> tuple[int, Union[Surd, float]]:
 
     An exact triple has r**2 in {1, 2, 3}, so theta is pi/3, pi/4 or pi/6
     and the answer comes by step floor(pi / theta) <= 6. It walks the
-    1,2-orbit in place on the stored layout: f_n is written by _gamma_step
-    on entry 0 for odd n and entry 1 for even n, and an entry whose
-    coefficient passes 64 bits raises OverflowLimitError, as in gamma_s.
-    Returns n and f_n, a Surd or a float.
+    1,2-orbit as one_two_orbit does, by gamma_s, whose width check raises
+    OverflowLimitError for an f_n past 64 bits. Returns n and f_n, a Surd
+    or a float.
     """
     if not s.is_positive():
         raise DomainError("find_negative_in_12_orbit requires a positive triple")
     if not s.r < 2:
         raise DomainError(f"requires r < 2, got r = {s.r}")
-    ks, ds, t = list(s.ks), s.ds, s.pqr
-    if ds is None:
-        theta = _angle(ks[2])
+    if s.ds is None:
+        theta = _angle(s.ks[2])
         # b = q (r / 2) - p cancels near r = 2, so it is formed exactly and rounded once
-        (pn, pd), (qn, qd), (rn, rd) = (e.as_integer_ratio() for e in ks)
-        a, b = ks[1] * math.sin(theta), (qn * rn * pd - 2 * pn * qd * rd) / (2 * pd * qd * rd)
+        (pn, pd), (qn, qd), (rn, rd) = (e.as_integer_ratio() for e in s.ks)
+        a, b = s.ks[1] * math.sin(theta), (qn * rn * pd - 2 * pn * qd * rd) / (2 * pd * qd * rd)
         n = math.floor((math.pi + _PHASE_SLACK - math.atan2(a, b)) / theta) + 1
         value = (a * math.cos(n * theta) + b * math.sin(n * theta)) / math.sin(theta)
         if not math.isfinite(value):
             raise OverflowLimitError(f"f_{n} of the 1,2-orbit of ({s}) overflows the float range")
         return n, value
-    # Step n replaces f_{n-2}. No zero entry is stepped: the first zero
-    # f_m follows a positive f_{m-1}, so f_{m+1} = -f_{m-1} < 0 ends the walk.
+    # Step n replaces f_{n-2}: entry 1 (p) for odd n, entry 2 (q) for even n.
     for n in itertools.count(1):
-        i = 1 - n % 2
-        t = _gamma_step(ks, ds, t, i)
-        _check_widths(ks[i], ds[i])
-        if ks[i] < 0:
-            return n, _surd(ks[i], ds[i])
+        s = gamma_s(s, 2 - n % 2)
+        if s.ks[1 - n % 2] < 0:
+            return n, s.p if n % 2 else s.q
     raise AssertionError("unreachable")
 
 

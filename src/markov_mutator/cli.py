@@ -35,7 +35,7 @@ from .classify import (
 )
 from .enumeration import enumerate_m1, surjectivity_witness
 from .errors import DomainError, OverflowLimitError, ResourceError, ensure_budget
-from .matrices import _INT_TOKEN, MatM, TripleS, markov_c_s
+from .matrices import MatM, TripleS, markov_c_s
 from .orbits import (
     DEFAULT_DEPTH,
     DEFAULT_ENTRY_BOUND,
@@ -44,7 +44,7 @@ from .orbits import (
     orbit_bfs,
     reduce_to_fundamental,
 )
-from .surd import Surd
+from .surd import _INT_TOKEN, Surd, _read_int
 
 __all__ = ["EXIT_CLOSED_STDOUT", "SWEEP_CAP", "main", "run"]
 
@@ -68,12 +68,9 @@ _EPILOG = (
 
 def _int_arg(text: str) -> int:
     """An integer option or argument, in the grammar of a matrix entry (_INT_TOKEN)."""
-    try:
-        if _INT_TOKEN.fullmatch(text):
-            return int(text)
-    except ValueError:  # past Python's limit on the digits int() converts
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not _INT_TOKEN.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return _read_int(text, "integer argument")
 
 
 def _float_text(text: str) -> float:
@@ -397,23 +394,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Dispatch argv and return the exit code; output goes to stdout/stderr."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)  # _int_arg can raise OverflowLimitError
         for name in _BUDGETS:
             value = getattr(args, name, None)
             if value is not None:
                 ensure_budget(value, "--" + name.replace("_", "-"))
         return args.func(args)
-    except DomainError as exc:
+    except SystemExit as exc:  # a usage error, or --help
+        return int(exc.code or 0)
+    except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, DomainError) else 2
 
 
 def main() -> None:

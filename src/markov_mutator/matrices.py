@@ -28,31 +28,31 @@ ks[i] * sqrt(ds[i]). Its p, q and r are read-only properties that build
 a Surd when read, which only text, JSON, ordering and the r < 2 test of
 find_negative_in_12_orbit do. A float triple stores its floats in ks,
 None in ds and their product in pqr. The direction test (_directions)
-and the gamma step (_gamma_step) work on the stored layout
-(ks, ds, t = pqr) of either backend alone. The test alone decides the
-class (mk_class, mk_class_matm, the M1 check of the enumeration) and the
-direction of descent_step and reduce_to_fundamental; gamma_s (and with
-it one_two_orbit), the float descent of ab_class and the exact walk of
-find_negative_in_12_orbit step through both. The exact descent of
-ab_class (classify._ab_class_exact) unrolls the same two rules on integer
-locals, so that a step updates only the entry it changes, that entry's
-square and pqr. gamma_s on a nonzero entry and the descents hand their
-results to _triple, which stores them as given; the descents and
-reduce_to_fundamental likewise hand their words, valid by construction,
-to _path. _exact_triple is the checked way in, fed (k, d) pairs by
-TripleS.parse (from surd._parse_kd), by the enumeration (split integer
-squares), by the public constructor (from its Surd entries), by sk
-(products of split column entries) and by gamma_s on a zero entry (the
-product of the other two pairs). It checks the 64-bit widths of the
-entries, multiplies out pqr and raises NotInShat when pqr is not an
-integer. Every product of two exact values is surd._product on their
-(k, d) pairs; no Surd arithmetic is done here.
+reads the stored layout (ks, ds, t = pqr) of either backend. It decides
+the class (mk_class, mk_class_matm, the M1 check of the enumeration) and
+the direction of descent_step, of the float descent of ab_class and of
+reduce_to_fundamental. gamma_s is the one gamma step on triples:
+descent_step, one_two_orbit, the float descent of ab_class and the exact
+walk of find_negative_in_12_orbit step through it. Only the exact
+descent of ab_class (classify._ab_class_exact) states both rules again,
+for positive triples on integer locals, so that a step updates only the
+entry it changes, that entry's square and pqr. gamma_s on a nonzero
+entry and the exact descent hand their results to _triple, which stores
+them as given; the descents and reduce_to_fundamental likewise hand
+their words, valid by construction, to _path. _exact_triple is the
+checked way in, fed (k, d) pairs by TripleS.parse (from
+surd._parse_kd), by the enumeration (split integer squares), by the
+public constructor (from its Surd entries), by sk (products of split
+column entries) and by gamma_s on a zero entry (the product of the other
+two pairs). It checks the 64-bit widths of the entries, multiplies out
+pqr and raises NotInShat when pqr is not an integer. Every product of
+two exact values is surd._product on their (k, d) pairs; no Surd
+arithmetic is done here.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -65,7 +65,9 @@ from .errors import (
     SignMismatch,
     ensure_int64,
 )
-from .surd import Surd, _canonical, _check_widths, _parse_kd, _product, _render, _surd
+from .surd import (
+    _INT_TOKEN, Surd, _canonical, _check_widths, _parse_kd, _product, _read_int, _render, _surd,
+)
 from .value import Value
 
 __all__ = [
@@ -85,7 +87,7 @@ __all__ = [
 
 SixTuple = tuple[int, int, int, int, int, int]
 
-_INT_TOKEN = re.compile(r"[+-]?[0-9]+")  # int() alone also reads "1_0" and non-ASCII digits
+_ENTRY_NAMES = ("x", "y", "z", "x'", "y'", "z'")
 
 
 class CyclicityClass(Enum):
@@ -112,7 +114,7 @@ class MatM(Value):
     zp: int
 
     def __init__(self, x: int, y: int, z: int, xp: int, yp: int, zp: int) -> None:
-        for name, e in zip(("x", "y", "z", "x'", "y'", "z'"), (x, y, z, xp, yp, zp)):
+        for name, e in zip(_ENTRY_NAMES, (x, y, z, xp, yp, zp)):
             if not isinstance(e, int):
                 raise TypeError(f"entry {name} must be an integer, got {type(e).__name__}")
             ensure_int64(e, f"matrix entry {name}")
@@ -174,10 +176,10 @@ class MatM(Value):
             import json
 
             try:
-                rows = json.loads(stripped)
+                rows = json.loads(stripped, parse_int=lambda t: _read_int(t, "matrix entry"))
             except RecursionError as exc:
                 raise DomainError("matrix JSON nests too deeply") from exc
-            except ValueError as exc:  # malformed JSON, or an integer past the digit limit
+            except ValueError as exc:  # malformed JSON
                 raise DomainError(str(exc)) from exc
             return cls.from_matrix(rows)
         parts = stripped.split("/")
@@ -186,13 +188,9 @@ class MatM(Value):
         rows = [part.split() for part in parts]
         if not all(_INT_TOKEN.fullmatch(t) for row in rows for t in row):
             raise DomainError(f"non-integer entry in {text!r}")
-        try:
-            top, bottom = ([int(t) for t in row] for row in rows)
-        except ValueError as exc:  # a digit string past Python's int conversion limit
-            raise DomainError(f"non-integer entry in {text!r}") from exc
-        if len(top) != 3 or len(bottom) != 3:
+        if len(rows[0]) != 3 or len(rows[1]) != 3:
             raise DomainError(f"expected three entries per row in {text!r}")
-        return cls(*top, *bottom)
+        return cls(*map(_read_int, rows[0] + rows[1], [f"matrix entry {n}" for n in _ENTRY_NAMES]))
 
     def to_json(self) -> dict:
         return {"tuple": str(self), "entries": list(self.entries())}
@@ -416,7 +414,7 @@ def gamma_tuple(t: SixTuple, k: int) -> SixTuple:
     raise DomainError(f"gamma index must be 1, 2 or 3, got {k}")
 
 
-# -- the stored triple layout, stepped in place ------------------------
+# -- the direction test on the stored triple layout --------------------
 
 
 def _directions(
@@ -451,29 +449,6 @@ def _directions(
     return flags
 
 
-def _gamma_step(ks: list, ds: Optional[Sequence[int]], t: Union[int, float], i: int):
-    """gamma on entry i, in place; returns the new product.
-
-    Float (ds is None): the entry becomes the product of the other two
-    minus itself, and the new product is ks[0] * ks[1] * ks[2], in the
-    order TripleS.approx multiplies. Exact, on a nonzero entry: the
-    product of the other two entries is t / (ks[i] sqrt(ds[i])), which is
-    (t // (ks[i] ds[i])) sqrt(ds[i]) by an exact division, so the new
-    entry keeps radicand ds[i]. The new product is the product of the
-    other two squares minus t. Nothing is checked here, neither a float
-    that leaves the finite range nor a coefficient that leaves 64 bits: a
-    descent step only shrinks the entry, and gamma_s and the 1,2-orbit
-    walk check the entry they change.
-    """
-    if ds is None:
-        ks[i] = ks[i - 2] * ks[i - 1] - ks[i]
-        return ks[0] * ks[1] * ks[2]
-    k = ks[i]
-    ks[i] = t // (k * ds[i]) - k
-    a, b = ks[i - 2], ks[i - 1]
-    return a * a * ds[i - 2] * b * b * ds[i - 1] - t
-
-
 def mutate(b: MatM, k: int) -> MatM:
     """The mutation mu_k, defined for cyclic and acyclic inputs alike."""
     return MatM(*mutate_tuple(b.entries(), k))
@@ -485,26 +460,34 @@ def gamma_m(m: MatM, k: int) -> MatM:
 
 
 def gamma_s(s: TripleS, k: int) -> TripleS:
-    """gamma_k on a triple: one entry is replaced by (product of the others) - itself.
+    """gamma_k on a triple: entry k is replaced by (product of the others) - itself.
 
-    A float entry that is not finite raises OverflowLimitError, and an
-    exact coefficient past 64 bits the width check's OverflowLimitError.
-    An exact zero entry becomes the product of the other two by
-    surd._product, and the triple is rebuilt by _exact_triple, whose width
-    check also covers the new radicand.
+    A float entry is formed so, and the new product is p * q * r in the
+    order TripleS.approx multiplies; an entry that is not finite raises
+    OverflowLimitError. An exact nonzero entry c sqrt(d) with pqr = t has
+    the product of the others t / (c sqrt(d)) = (t // (c d)) sqrt(d), an
+    exact division, so it becomes (t // (c d) - c) sqrt(d), and the new pqr
+    is the product of the other two squares minus t; a new coefficient past
+    64 bits raises the width check's OverflowLimitError. An exact zero entry
+    becomes the product of the other two by surd._product, and the triple
+    is rebuilt by _exact_triple, whose width check also covers the new
+    radicand.
     """
     if k not in (1, 2, 3):
         raise DomainError(f"gamma index must be 1, 2 or 3, got {k}")
     i = k - 1
-    ks, ds = list(s.ks), s.ds
-    if ds is None or ks[i]:
-        t = _gamma_step(ks, ds, s.pqr, i)
-        if ds is not None:
-            _check_widths(ks[i], ds[i])  # a climb can leave 64 bits
-        elif not math.isfinite(ks[i]):
+    ks, ds, t = list(s.ks), s.ds, s.pqr
+    c = ks[i]
+    if ds is None:
+        ks[i] = ks[i - 2] * ks[i - 1] - c
+        if not math.isfinite(ks[i]):
             raise OverflowLimitError(f"gamma_{k} of ({s}) overflows the float range")
-        return _triple(tuple(ks), ds, t)
-    # An exact zero entry becomes the product of the others, with their radicand.
+        return _triple(tuple(ks), None, ks[0] * ks[1] * ks[2])
+    if c:
+        ks[i] = t // (c * ds[i]) - c
+        _check_widths(ks[i], ds[i])  # a climb can leave 64 bits
+        a, b = ks[i - 2], ks[i - 1]
+        return _triple(tuple(ks), ds, a * a * ds[i - 2] * b * b * ds[i - 1] - t)
     pairs = list(zip(ks, ds))
     pairs[i] = _product(*pairs[i - 2], *pairs[i - 1])
     return _exact_triple(pairs)

@@ -10,9 +10,11 @@ The radicand is factored only where a value enters the package: a
 Surd(k, radicand) built by a caller is checked in full, Surd.make splits
 a radicand that need not be squarefree, and _parse_kd, the one parser of
 the text grammar, turns a surd expression into the signed coefficient
-and squarefree radicand (k, d) with the same split. Surd.parse wraps
-that pair; TripleS.parse hands the three pairs straight to the triple
-builder, which checks them with _check_widths. Values derived inside the
+and squarefree radicand (k, d) with the same split. Each numeral, there
+and in the integer grammar _INT_TOKEN of matrices and command-line
+arguments, is read by _read_int. Surd.parse wraps that pair;
+TripleS.parse hands the three pairs straight to the triple builder,
+which checks them with _check_widths. Values derived inside the
 package (the entries an exact TripleS builds when read, the values
 chebyshev_u returns, and the results of Surd arithmetic) go through
 _surd, which checks only the 64-bit widths.
@@ -49,6 +51,7 @@ from .errors import (
     INT64_MIN,
     DomainError,
     IterationCapExceeded,
+    OverflowLimitError,
     RadicandMismatch,
     ensure_int64,
 )
@@ -192,6 +195,25 @@ def _rho_factor(n: int, budget: int) -> tuple[int, int]:
     raise AssertionError("unreachable")
 
 
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")  # int() alone also reads "1_0" and non-ASCII digits
+
+
+def _read_int(numeral: str, what: str) -> int:
+    """The value of a numeral of _INT_TOKEN. int() refuses more digits than
+    sys.get_int_max_str_digits(), at least 640, leading zeros included, so such a
+    numeral is read again without them; one still that long is past 64 bits and
+    raises OverflowLimitError naming what and its digit count."""
+    try:
+        return int(numeral)
+    except ValueError:
+        digits = numeral.lstrip("+-").lstrip("0") or "0"
+    try:
+        return -int(digits) if numeral[0] == "-" else int(digits)
+    except ValueError:
+        message = f"{what} of {len(digits)} digits exceeds the signed 64-bit range"
+        raise OverflowLimitError(message) from None
+
+
 _SURD_RE = re.compile(
     r"""^\s*(?P<sign>[+-])?\s*
         (?:
@@ -251,16 +273,11 @@ def _parse_kd(text: str) -> tuple[int, int]:
     if m is None:
         raise DomainError(f"not a surd expression: {text!r}")
     sign, coeff, rad1, rad2 = m.groups()
-    try:
-        k = int(coeff) if coeff is not None else 1
-        if sign == "-":
-            k = -k
-        rad = rad1 or rad2
-        if rad is None:
-            return k, 1
-        return _canonical(k, int(rad))
-    except ValueError as exc:  # a digit string past Python's int conversion limit
-        raise DomainError(str(exc)) from None
+    k = _read_int(coeff, "surd coefficient") if coeff else 1
+    if sign == "-":
+        k = -k
+    rad = rad1 or rad2
+    return _canonical(k, _read_int(rad, "surd radicand")) if rad else (k, 1)
 
 
 def _render(k: int, d: int) -> str:

@@ -897,6 +897,8 @@ def test_exact_chebyshev_holds_only_the_value_to_64_bits(n, r, expected):
 def test_one_two_orbit_example():
     out = one_two_orbit(TripleS.parse("3, 3, 3"), 2)
     assert [str(s) for s in out] == ["3, 3, 3", "6, 3, 3", "6, 15, 3"]
+    with pytest.raises(DomainError, match="one_two_orbit requires n >= 0, got -1"):
+        one_two_orbit(TripleS.parse("3, 3, 3"), -1)
 
 
 def test_one_two_orbit_fixed_point():
@@ -967,6 +969,9 @@ def test_find_negative_examples():
     assert n == 2 and abs(value + 2) <= NEGATIVE_ERROR * 4 / math.sqrt(3)  # R / sin(theta)
     with pytest.raises(DomainError):
         find_negative_in_12_orbit(TripleS.parse("3, 3, 2"))
+    for text in ("0, 1, 1", "-1, 2, 1"):
+        with pytest.raises(DomainError, match="requires a positive triple"):
+            find_negative_in_12_orbit(TripleS.parse(text))
     # f_1 = r*q - p = 0 is not yet negative: the closed form reads the zero term as one
     n, value = find_negative_in_12_orbit(TripleS.approx(1.0, 1.0, 1.0))
     assert n == 2 and abs(value + 1) <= NEGATIVE_ERROR * 2 / math.sqrt(3)

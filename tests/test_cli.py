@@ -735,3 +735,43 @@ def test_integer_arguments_are_ascii_digits(capsys, argv, name, token):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.endswith(f"error: argument {name}: invalid int value: {token!r}\n")
+
+
+ZEROS, ONES = "0" * 4999, "1" * 5000  # both past the 4300 digits int() converts by default
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["classify", f"{ZEROS}3, 3, 3"], ["classify", "3, 3, 3"]),
+        (["chebyshev", "3", f"sqrt({ZEROS}5)"], ["chebyshev", "3", "sqrt(5)"]),
+        (["classify", f"{ZEROS}3 3 3 / 3 3 {ZEROS}3"], ["classify", "3 3 3 / 3 3 3"]),
+        (["chebyshev", f"{ZEROS}3", "sqrt(5)"], ["chebyshev", "3", "sqrt(5)"]),
+        (["classify", "6, 15, 3", "--cap", f"-{ZEROS}0"], ["classify", "6, 15, 3", "--cap", "0"]),
+    ],
+    ids=["surd-coefficient", "surd-radicand", "matrix-entry", "integer-argument", "signed-zero"],
+)
+def test_zero_padded_numerals_are_read_by_value(capsys, argv, plain):
+    assert invoke(capsys, *argv) == invoke(capsys, *plain)
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["classify", f"{ONES}, 3, 3"], "surd coefficient"),
+        (["classify", f"3, -{ONES}*sqrt(2), 3"], "surd coefficient"),
+        (["classify", f"sqrt({ONES}), 3, 3"], "surd radicand"),
+        (["chebyshev", "3", ONES], "surd coefficient"),
+        (["classify", f"1 2 {ONES} / 1 1 1"], "matrix entry z"),
+        (["classify", f"[[0, -1, 2], [1, 0, -1], [-1, {ONES}, 0]]"], "matrix entry"),
+        (["chebyshev", ONES, "3"], "integer argument"),
+        (["classify", "6, 15, 3", "--cap", f"{ZEROS}{ONES}"], "integer argument"),
+    ],
+    ids=["coefficient", "signed-coefficient", "radicand", "scalar", "matrix-entry",
+         "json-entry", "n", "cap"],
+)
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_numerals_past_the_conversion_limit_are_resource_errors(capsys, argv, what, fmt):
+    # past int()'s digit limit a numeral is past 64 bits, as one of 25 digits is
+    message = f"error: {what} of 5000 digits exceeds the signed 64-bit range\n"
+    assert invoke(capsys, *argv, *fmt) == (2, "", message)

@@ -9,6 +9,7 @@ One more makes building any Surd raise, then runs the exact descent from
 text to Markov constant.
 """
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -146,3 +147,29 @@ def test_readme_commands(no_surd_arithmetic, capsys, argv, shown, fmt):
         parts = re.split(r"(?m)(^\.\.\.\n)", shown)
         pattern = "".join(".*" if part == "...\n" else re.escape(part) for part in parts)
         assert re.fullmatch(pattern, out, flags=re.S), (shown, out)
+
+
+def test_readme_quickstart():
+    # each `expr  # value` line whose value evaluates states what expr evaluates to
+    section = README.read_text(encoding="utf-8").split("\n## Library quickstart\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("  #")
+        if not comment or not isinstance(ast.parse(code.strip()).body[0], ast.Expr):
+            continue
+        try:
+            value = eval(comment, namespace)
+        except Exception:
+            continue
+        assert eval(code, namespace) == value, line
+        checked += 1
+    assert checked >= 6
+
+
+def test_readme_module_table_names_every_module():
+    table = set(re.findall(r"^\| `markov_mutator\.(\w+)`", README.read_text(encoding="utf-8"), re.M))
+    modules = {path.stem for path in Path(surd.__file__).parent.glob("*.py")} - {"__init__"}
+    assert table == modules

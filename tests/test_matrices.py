@@ -25,6 +25,7 @@ from markov_mutator.matrices import (
     TripleS,
     gamma_m,
     gamma_s,
+    gamma_tuple,
     markov_c_m,
     markov_c_m_abs,
     markov_c_s,
@@ -157,6 +158,8 @@ def test_gamma_is_negated_mutation_on_positive_cyclic(m, k):
 def test_gamma_examples():
     assert gamma_m(MatM(4, 1, 2, 1, 4, 2), 1) == MatM(4, 1, 2, 1, 4, 2)
     assert gamma_m(MatM(3, 3, 3, 3, 3, 3), 1) == MatM(6, 3, 3, 6, 3, 3)
+    with pytest.raises(DomainError, match="gamma index must be 1, 2 or 3, got 4"):
+        gamma_tuple((3, 3, 3, 3, 3, 3), 4)
 
 
 @given(valid_mats(), st.sampled_from([1, 2, 3]))
@@ -250,6 +253,8 @@ def test_triple_backends():
     assert approx.backend == "float"
     with pytest.raises(TypeError):
         TripleS(Surd.from_int(3), 3.0, Surd.from_int(3))
+    with pytest.raises(TypeError, match="float-backend entry must be a real number, got '3'"):
+        TripleS(1.0, 2.0, "3")
 
 
 def test_triple_shat_membership():
@@ -377,6 +382,9 @@ def test_gamma_s_and_markov_s():
     assert str(gamma_s(s, 2)) == "5, 3*sqrt(5), sqrt(5)"
     assert markov_c_s(s) == 0
     assert markov_c_s(TripleS.approx(2.0, 2.0, 2.0)) == pytest.approx(4.0)
+    for k in (0, 4):  # every walk steps through gamma_s, so its index check guards them all
+        with pytest.raises(DomainError, match=f"gamma index must be 1, 2 or 3, got {k}"):
+            gamma_s(s, k)
 
 
 def test_gamma_s_width():
@@ -430,6 +438,8 @@ def test_permute_examples():
         permute(s, (1, 2, 3), transpose=True)
     with pytest.raises(ValueError):
         permute(m, (1, 1, 2))
+    with pytest.raises(TypeError, match="cannot permute object"):
+        permute(object(), (1, 2, 3))
 
 
 @given(valid_mats(), st.permutations([1, 2, 3]))

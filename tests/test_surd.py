@@ -122,6 +122,8 @@ def test_multiplication_examples():
     assert Surd.make(2, 5) * 3 == Surd.make(6, 5)
     assert 3 * Surd.make(2, 5) == Surd.make(6, 5)
     assert Surd.make(2, 5) * Surd.zero() == Surd.zero()
+    with pytest.raises(TypeError):  # __mul__ and __rmul__ return NotImplemented
+        Surd(1, 1) * "x"
 
 
 @given(surds, surds)
@@ -145,6 +147,8 @@ def test_subtraction_same_radicand():
     assert Surd.zero() - Surd.make(2, 5) == Surd.make(-2, 5)
     with pytest.raises(RadicandMismatch):
         Surd.make(1, 2) - Surd.make(1, 3)
+    with pytest.raises(TypeError):  # only Surd - Surd is defined
+        Surd(1, 1) - 1
 
 
 @given(st.sampled_from(SQUAREFREE), st.integers(-40, 40), st.integers(-40, 40))
