@@ -422,14 +422,15 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
     sinh((n + 1) theta) / sinh(theta) for |r| > 2, the latter written as
     e^(n theta) (1 - e^(-2 (n + 1) theta)) / (1 - e^(-2 theta)) so that no
     intermediate passes the float range before the value does, times
-    (-1)**n for r < 0; r = +-2 and the seeds n = -2, -1 give
-    (+-1)**n (n + 1). Relative to the envelope min(n + 1, 1 / sin(theta))
-    below 2 and |u_n| above, the error is within 4 (1 + (n + 1) theta)
-    2**-52, as the phase (n + 1) theta carries the rounding of theta. So
-    below 2 an n whose phase passes 2**40, where that bound reaches 2**-10,
-    raises OverflowLimitError rather than answer with too few correct
-    digits; above 2 the value leaves the float range long before, and a
-    value past the float range raises OverflowLimitError too.
+    (-1)**n for r < 0. The seeds n = -2, -1 and 1 give -1.0, 0.0 and r
+    itself, and r = +-2 gives (+-1)**n (n + 1). Relative to the envelope
+    min(n + 1, 1 / sin(theta)) below 2 and |u_n| above, the error is
+    within 4 (1 + (n + 1) theta) 2**-52, as the phase (n + 1) theta
+    carries the rounding of theta. So below 2 an n whose phase passes
+    2**40, where that bound reaches 2**-10, raises OverflowLimitError
+    rather than answer with too few correct digits; above 2 the value
+    leaves the float range long before, and a value past the float range
+    raises OverflowLimitError too.
     """
     if n < -2:
         raise DomainError(f"chebyshev_u requires n >= -2, got {n}")
@@ -451,11 +452,14 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
     try:
         if n < 0 or abs(r) == 2:  # the seeds and r = +-2; an int keeps u_{-1} 0.0, not -0.0
             return float(sign * (n + 1))
-        if abs(r) < 2:
+        if n == 1:  # the seed r itself, held to the float range below like any value
+            value = abs(float(r))
+        elif abs(r) < 2:
             if n + 1 > 2**40 / theta:  # an exact comparison: no n converts to float first
                 raise OverflowLimitError(f"u_{n}({r}) is past float precision: its phase passes 2**40")
             return sign * math.sin((n + 1) * theta) / math.sin(theta)
-        value = math.exp(n * theta) * math.expm1(-2 * (n + 1) * theta) / math.expm1(-2 * theta)
+        else:
+            value = math.exp(n * theta) * math.expm1(-2 * (n + 1) * theta) / math.expm1(-2 * theta)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

@@ -25,28 +25,14 @@ An exact triple is held in plain integers and stores nothing else: ks,
 the signed coefficients, ds, the squarefree radicands (1 for a zero
 entry), and pqr, the unbounded integer product; entry i is
 ks[i] * sqrt(ds[i]). Its p, q and r are read-only properties that build
-a Surd when read, which only text, JSON, ordering and the r < 2 test of
-find_negative_in_12_orbit do. A float triple stores its floats in ks,
-None in ds and their product in pqr. The direction test (_directions)
-reads the stored layout (ks, ds, t = pqr) of either backend. It decides
-the class (mk_class, mk_class_matm, the M1 check of the enumeration) and
-the direction of descent_step, of the float descent of ab_class and of
-reduce_to_fundamental. gamma_s is the one gamma step on triples:
-descent_step, one_two_orbit, the float descent of ab_class and the exact
-walk of find_negative_in_12_orbit step through it. Only the exact
-descent of ab_class (classify._ab_class_exact) states both rules again,
-for positive triples on integer locals, so that a step updates only the
-entry it changes, that entry's square and pqr. gamma_s on a nonzero
-entry and the exact descent hand their results to _triple, which stores
-them as given; the descents and reduce_to_fundamental likewise hand
-their words, valid by construction, to _path. _exact_triple is the
-checked way in, fed (k, d) pairs by TripleS.parse (from
-surd._parse_kd), by the enumeration (split integer squares), by the
-public constructor (from its Surd entries), by sk (products of split
-column entries) and by gamma_s on a zero entry (the product of the other
-two pairs). It checks the 64-bit widths of the entries, multiplies out
-pqr and raises NotInShat when pqr is not an integer. Every product of
-two exact values is surd._product on their (k, d) pairs; no Surd
+a Surd when read. A float triple stores its floats in ks, None in ds and
+their product in pqr. The direction test (_directions) reads this stored
+layout of either backend, and gamma_s is the one gamma step on triples.
+_exact_triple is the checked way in for (k, d) pairs: it checks the
+64-bit widths of the entries, multiplies out pqr and raises NotInShat
+when pqr is not an integer. _triple stores entries that are valid by
+construction as given, and _path does the same for words. Every product
+of two exact values is surd._product on their (k, d) pairs; no Surd
 arithmetic is done here.
 """
 
@@ -340,8 +326,10 @@ class MutationPath(Value):
     indices: tuple[int, ...]
 
     def __init__(self, indices: Sequence[int] = ()) -> None:
-        indices = tuple(int(i) for i in indices)
+        indices = tuple(indices)
         for i in indices:
+            if not isinstance(i, int):
+                raise TypeError(f"path index must be an integer, got {type(i).__name__}")
             if i not in (1, 2, 3):
                 raise DomainError(f"path index {i} is not in {{1, 2, 3}}")
         for a, b in zip(indices, indices[1:]):
@@ -552,7 +540,9 @@ def permute(m: Union[MatM, TripleS], sigma: Sequence[int], transpose: bool = Fal
     (1-based). Transposition is only meaningful for MatM; on triples it
     is the identity, and asking for it raises.
     """
-    sig = tuple(int(i) for i in sigma)
+    sig = tuple(sigma)
+    if not all(isinstance(i, int) for i in sig):
+        raise TypeError(f"sigma must hold integers, got {sigma!r}")
     if sig not in _PERMS:
         raise DomainError(f"sigma must be a permutation of (1, 2, 3), got {sigma!r}")
     if isinstance(m, MatM):

@@ -10,14 +10,10 @@ The radicand is factored only where a value enters the package: a
 Surd(k, radicand) built by a caller is checked in full, Surd.make splits
 a radicand that need not be squarefree, and _parse_kd, the one parser of
 the text grammar, turns a surd expression into the signed coefficient
-and squarefree radicand (k, d) with the same split. Each numeral, there
-and in the integer grammar _INT_TOKEN of matrices and command-line
-arguments, is read by _read_int. Surd.parse wraps that pair;
-TripleS.parse hands the three pairs straight to the triple builder,
-which checks them with _check_widths. Values derived inside the
-package (the entries an exact TripleS builds when read, the values
-chebyshev_u returns, and the results of Surd arithmetic) go through
-_surd, which checks only the 64-bit widths.
+and squarefree radicand (k, d) with the same split. Every numeral of the
+text grammars is read by _read_int. A (k, d) pair stored without a Surd
+is checked by _check_widths, and a value derived inside the package goes
+through _surd: both check only the 64-bit widths.
 
 The split trial-divides by every f < 1000 while f**3 stays within the
 unfactored rest, which settles every radicand up to 10**9. A rest still
@@ -26,15 +22,13 @@ raises IterationCapExceeded once RHO_BUDGET steps are spent, so a split
 takes bounded time whatever the size of the radicand.
 
 The package multiplies exact values in one way, _product, on (k, d)
-pairs in unbounded integers: the pqr fold of the triple builder, gamma_s
-on a zero entry and sk call it, and Surd multiplication is _product with
-the width check of the value it stores. The descent, the 1,2-orbit walks
-and chebyshev_u step coefficients in plain integers, so no package code
-path does Surd arithmetic: a Surd is built only to show, compare or
-return a value. Multiplication, same-radicand subtraction and negation
-serve callers, such as the check of the 1,2-orbit against its Chebyshev
-closed form (acceptance criterion 7); squaring and exact comparison
-serve the package too. General sums of surds with distinct radicands are
+pairs in unbounded integers, and Surd multiplication is _product with
+the width check of the value it stores. No package code path does Surd
+arithmetic: a Surd is built only to show, compare or return a value.
+Multiplication, same-radicand subtraction and negation serve callers,
+such as the check of the 1,2-orbit against its Chebyshev closed form
+(acceptance criterion 7); squaring and exact comparison serve the
+package too. General sums of surds with distinct radicands are
 deliberately unsupported.
 """
 

@@ -777,10 +777,18 @@ def near_two(sign):
 @example(10**6, 2 - 1e-10)
 @example(10**6, -1.5)
 @example(1, 1e300)
+@example(1, 0.0)
+@example(1, 1.0)
+@example(1, -1.0)
+@example(1, 1.5)
+@example(1, 2.5)
 def test_float_chebyshev_matches_mpmath(n, r):
-    # within u_error of the envelope; a value past the float range raises
+    # within u_error of the envelope, and exact for n <= 1, where u_n is -1, 0, 1 or r;
+    # a value past the float range raises
     want, envelope, theta = oracle_u(n, r)
-    if abs(want) > sys.float_info.max:
+    if n <= 1:
+        assert chebyshev_u(n, r) == (-1.0, 0.0, 1.0, r)[n + 2]
+    elif abs(want) > sys.float_info.max:
         with pytest.raises(OverflowLimitError, match="overflows the float range"):
             chebyshev_u(n, r)
     else:
@@ -819,6 +827,9 @@ def test_chebyshev_large_index_is_bounded():
             chebyshev_u(n, 0.5 if n == int(1.5e308) else 1.5)
     with pytest.raises(OverflowLimitError, match="overflows the float range"):
         chebyshev_u(10**400, 2.5)
+    for r in (math.inf, -math.inf, math.nan):  # the seed u_1 = r is held to the float range too
+        with pytest.raises(OverflowLimitError, match="overflows the float range"):
+            chebyshev_u(1, r)
 
 
 @pytest.mark.parametrize("r", [1.5, -0.5, 2 - 2**-52, -2 + 2**-30, 1e-300])

@@ -446,6 +446,7 @@ def test_chebyshev_float(capsys):
     code, out, err = invoke(capsys, "chebyshev", "5", "2.5")
     assert code == 0
     assert float(out.strip()) == pytest.approx(42.65625)
+    assert invoke(capsys, "chebyshev", "1", "1.0") == (0, "1.0\n", "")  # u_1 = r exactly
 
 
 def test_chebyshev_negative_index_seed(capsys):

@@ -1,4 +1,5 @@
 """Every name a package module imports is used, every name it exports is bound,
+the package root exports exactly the joined __all__ of the modules it star-imports,
 every private module-level function is referred to outside its own def, no
 module holds an assert statement, and the command line starts without the
 standard library's heavy introspection modules or json."""
@@ -17,27 +18,44 @@ import markov_mutator
 MODULES = sorted(Path(markov_mutator.__file__).parent.glob("*.py"))
 
 
-def exported(source: str) -> list[str]:
-    """The names listed in a module's __all__, or [] if it has none."""
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    return []
+def exported(source: str) -> set[str]:
+    """The strings written in a module's __all__ assignment, whether a list or an expression."""
+    return {
+        const.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for const in ast.walk(node.value)
+        if isinstance(const, ast.Constant) and isinstance(const.value, str)
+    }
+
+
+def star_imported() -> list:
+    """The package modules that markov_mutator/__init__.py star-imports, in its order."""
+    tree = ast.parse(Path(markov_mutator.__file__).read_text())
+    return [
+        importlib.import_module(f"markov_mutator.{node.module}")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 1
+        and [alias.name for alias in node.names] == ["*"]
+    ]
 
 
 def unused_imports(source: str) -> list[str]:
-    """Imported names never read in the module; names listed in __all__ count as read."""
+    """Imported names never read in the module; names listed in __all__ count as read,
+    and a star import binds no name of its own."""
     tree = ast.parse(source)
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            imported.update(
+                alias.asname or alias.name.split(".")[0] for alias in node.names if alias.name != "*"
+            )
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - used - set(exported(source)))
+    return sorted(imported - used - exported(source))
 
 
 def orphaned_private_functions(sources: list[str]) -> list[str]:
@@ -87,6 +105,7 @@ def test_unused_imports_finds_only_unread_names():
     )
     assert unused_imports(source) == ["d", "os"]
     assert unused_imports("import os.path\nos.path.join\n") == []
+    assert unused_imports("from . import a, b\nfrom .a import *\n__all__ = [*a.__all__]\n") == ["b"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -98,7 +117,7 @@ def test_module_uses_every_import(path):
 def test_module_binds_every_export(path):
     name = "markov_mutator" if path.stem == "__init__" else f"markov_mutator.{path.stem}"
     module = importlib.import_module(name)
-    names = exported(path.read_text())
+    names = module.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(module, name)] == []
 
@@ -111,14 +130,18 @@ def test_module_has_no_assert_statement(path):
 
 
 def test_package_exports_exactly_what_it_imports():
-    tree = ast.parse(Path(markov_mutator.__file__).read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
-    assert set(markov_mutator.__all__) == imported
+    joined = [name for module in star_imported() for name in module.__all__]
+    assert markov_mutator.__all__ == joined
+    assert len(joined) == len(set(joined))
+
+
+def test_star_import_binds_each_module_object():
+    namespace = {}
+    exec("from markov_mutator import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(markov_mutator.__all__)
+    for module in star_imported():
+        for name in module.__all__:
+            assert getattr(markov_mutator, name) is getattr(module, name), name
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

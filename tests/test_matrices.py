@@ -440,6 +440,9 @@ def test_permute_examples():
         permute(m, (1, 1, 2))
     with pytest.raises(TypeError, match="cannot permute object"):
         permute(object(), (1, 2, 3))
+    for sigma in ((1.7, 2, 3), (1.0, 2, 3), ("1", "2", "3")):  # not ints, so no permutation
+        with pytest.raises(TypeError, match="sigma must hold integers"):
+            permute(MatM(1, 2, 3, 3, 2, 1), sigma)
 
 
 @given(valid_mats(), st.permutations([1, 2, 3]))
@@ -463,3 +466,6 @@ def test_mutation_path():
         MutationPath((1, 1))
     with pytest.raises(ValueError):
         MutationPath((0, 1))
+    for indices in ((1.9, 2), (1.0, 2), ["3", "1"], "31"):  # not ints, so no word
+        with pytest.raises(TypeError, match="path index must be an integer"):
+            MutationPath(indices)
