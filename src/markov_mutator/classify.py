@@ -259,7 +259,8 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     with the last iterate; a negative cap is a DomainError, and cap = 0
     allows no step.
     """
-    ensure_budget(cap, "cap")
+    if cap < 0:
+        ensure_budget(cap, "cap")
     k0, k1, k2 = s.ks
     if not (k0 > 0 and k1 > 0 and k2 > 0):
         raise DomainError("ab_class requires a positive triple")
@@ -273,7 +274,7 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
         flags = _directions(cur.ks, None, cur.pqr, FLOAT_CLASS_EPS)
         count = sum(flags)
         if count == 3:
-            return ABClass(ABKind.A, _path(tuple(word)), len(word), representative=cur)
+            return ABClass(ABKind.A, _path(tuple(word)), len(word), cur)
         if count < 2:
             raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
         if len(word) >= cap:
@@ -303,7 +304,7 @@ def _ab_class_exact(s: TripleS, cap: int) -> ABClass:
         f0, f1, f2 = t >= 2 * q0, t >= 2 * q1, t >= 2 * q2
         if f0 and f1 and f2:
             rep = _triple((k0, k1, k2), ds, t) if word else s
-            return ABClass(ABKind.A, _path(tuple(word)), len(word), representative=rep)
+            return ABClass(ABKind.A, _path(tuple(word)), len(word), rep)
         if f0 + f1 + f2 < 2:
             cur = _triple((k0, k1, k2), ds, t)
             raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
@@ -358,7 +359,7 @@ def _ab_class_angles(s: TripleS, angles: list[float], cap: int) -> ABClass:
         if angles[lo] <= ANGLE_RESOLUTION * angles[mid]:
             angles[lo], angles[hi] = 0.0, angles[mid]
             rep = s if not word and all(_directions(s.ks, s.ds, s.pqr)) else _from_angles(angles)
-            return ABClass(ABKind.A, _path(tuple(word)), len(word), representative=rep)
+            return ABClass(ABKind.A, _path(tuple(word)), len(word), rep)
         if len(word) >= cap:
             last = _from_angles(angles) if word else s
             raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
@@ -431,7 +432,12 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
     rather than answer with too few correct digits; above 2 the value
     leaves the float range long before, and a value past the float range
     raises OverflowLimitError too.
+
+    n must be an int: any other type, a float with an integer value
+    included, is a TypeError.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"chebyshev_u index must be an integer, got {type(n).__name__}")
     if n < -2:
         raise DomainError(f"chebyshev_u requires n >= -2, got {n}")
     if isinstance(r, Surd):

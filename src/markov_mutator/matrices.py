@@ -29,19 +29,23 @@ a Surd when read. A float triple stores its floats in ks, None in ds and
 their product in pqr. The direction test (_directions) reads this stored
 layout of either backend, and gamma_s is the one gamma step on triples.
 _exact_triple is the checked way in for (k, d) pairs: it checks the
-64-bit widths of the entries, multiplies out pqr and raises NotInShat
-when pqr is not an integer. _triple stores entries that are valid by
-construction as given, and _path does the same for words. Every product
-of two exact values is surd._product on their (k, d) pairs; no Surd
-arithmetic is done here.
+64-bit widths of the entries, takes pqr from one isqrt of the radicands'
+product and raises NotInShat when pqr is not an integer. TripleS.parse
+feeds it from one match of the whole text (_TRIPLE_RE), and a text that
+does not match is read again entry by entry only to raise its error.
+_triple stores entries that are valid by construction as given, and
+_path does the same for words; both set the slots by their member
+descriptors. Every product of two exact values is surd._product on their
+(k, d) pairs; no Surd arithmetic is done here.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence, Union
 
 from .errors import (
     DomainError,
@@ -52,7 +56,8 @@ from .errors import (
     ensure_int64,
 )
 from .surd import (
-    _INT_TOKEN, Surd, _canonical, _check_widths, _parse_kd, _product, _read_int, _render, _surd,
+    _ENTRY, _INT_TOKEN, Surd, _canonical, _check_widths, _entry_kd, _parse_kd, _product,
+    _read_int, _render, _surd,
 )
 from .value import Value
 
@@ -187,23 +192,27 @@ def _exact_triple(pairs: Iterable[tuple[int, int]]) -> TripleS:
 
     Every d is squarefree, and 1 where k is 0. The 64-bit widths of each
     pair are checked before the next pair is read, so a lazily parsed
-    entry fails in order. pqr is folded in plain integers by
-    surd._product, one entry at a time, and nothing is held to 64 bits; a
-    pqr that is not an integer raises NotInShat.
+    entry fails in order. As the radicands are squarefree, pqr is an
+    integer exactly when d0 d1 d2 is a square, and then it is
+    k0 k1 k2 isqrt(d0 d1 d2), held in plain integers and not to 64 bits; a
+    pqr that is not an integer raises NotInShat, whose text folds the
+    entries by surd._product.
     """
     ks, ds = [], []
-    coeff = rad = 1
     for k, d in pairs:
         _check_widths(k, d)
         ks.append(k)
         ds.append(d)
-        coeff, rad = _product(coeff, rad, k, d)
-    if coeff and rad != 1:
+    k0, k1, k2 = ks
+    coeff, rad = k0 * k1 * k2, ds[0] * ds[1] * ds[2]
+    root = math.isqrt(rad)
+    if coeff and root * root != rad:
+        coeff, rad = _product(*_product(k0, ds[0], k1, ds[1]), k2, ds[2])
         entries = ", ".join(map(_render, ks, ds))
         raise NotInShat(
             f"pqr = {_render(coeff, rad)} is not an integer; ({entries}) has no integer lift"
         )
-    return _triple(tuple(ks), tuple(ds), coeff)
+    return _triple(tuple(ks), tuple(ds), coeff * root)
 
 
 def _triple(ks: tuple, ds: Optional[tuple[int, ...]], pqr: Union[int, float]) -> TripleS:
@@ -214,19 +223,47 @@ def _triple(ks: tuple, ds: Optional[tuple[int, ...]], pqr: Union[int, float]) ->
     """
     if ds is not None and 0 in ks:
         ds = tuple(d if k else 1 for k, d in zip(ks, ds))
-    s = object.__new__(TripleS)
-    object.__setattr__(s, "ks", ks)
-    object.__setattr__(s, "ds", ds)
-    object.__setattr__(s, "pqr", pqr)
+    s = _new(TripleS)
+    _set_ks(s, ks)
+    _set_ds(s, ds)
+    _set_pqr(s, pqr)
     return s
 
 
 def _path(indices: tuple[int, ...]) -> MutationPath:
     """The path storing indices, which the caller vouches for: a descent word,
     valid by construction. Nothing is checked."""
-    path = object.__new__(MutationPath)
-    object.__setattr__(path, "indices", indices)
+    path = _new(MutationPath)
+    _set_indices(path, indices)
     return path
+
+
+def _finite_float(e) -> float:
+    """float(e) for a float-backend entry, which must be finite: an int past the
+    float range is not."""
+    try:
+        f = float(e)
+        if math.isfinite(f):
+            return f
+    except OverflowError:
+        f = e
+    raise DomainError(f"float-backend entry must be finite, got {f!r}")
+
+
+def _triple_error(text: str) -> NoReturn:
+    """Raise the error of a text that _TRIPLE_RE rejects: read entry by entry, in
+    order, the first entry that is not a surd expression or is too wide fails."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise DomainError(f"expected three comma-separated entries, got {text!r}")
+    for part in parts:
+        _check_widths(*_parse_kd(part.strip()))
+    raise AssertionError(f"{text!r} reads entry by entry but does not match as a whole")
+
+
+# Three _ENTRY joined by commas, each with the Unicode whitespace that str.strip
+# strips around it; whitespace inside an entry is ASCII.
+_TRIPLE_RE = re.compile(rf"\s*{_ENTRY}\s*,\s*{_ENTRY}\s*,\s*{_ENTRY}\s*")
 
 
 class TripleS(Value):
@@ -259,12 +296,12 @@ class TripleS(Value):
             exact = _exact_triple((e.k, e.radicand) for e in (p, q, r))
             ks, ds, pqr = exact.ks, exact.ds, exact.pqr
         else:
+            floats = []
             for e in (p, q, r):
                 if not isinstance(e, (int, float)) or isinstance(e, bool):
                     raise TypeError(f"float-backend entry must be a real number, got {e!r}")
-                if not math.isfinite(e):
-                    raise DomainError(f"float-backend entry must be finite, got {e!r}")
-            ks, ds = (float(p), float(q), float(r)), None
+                floats.append(_finite_float(e))
+            ks, ds = tuple(floats), None
             pqr = ks[0] * ks[1] * ks[2]
         for slot, value in zip(TripleS.__slots__, (ks, ds, pqr)):
             object.__setattr__(self, slot, value)
@@ -283,7 +320,7 @@ class TripleS(Value):
 
     @classmethod
     def approx(cls, p: float, q: float, r: float) -> TripleS:
-        return cls(float(p), float(q), float(r))
+        return cls(_finite_float(p), _finite_float(q), _finite_float(r))
 
     @property
     def backend(self) -> str:
@@ -305,10 +342,12 @@ class TripleS(Value):
     @classmethod
     def parse(cls, text: str) -> TripleS:
         """Parse comma-separated surd expressions, e.g. '5, 2*sqrt(5), sqrt(5)'."""
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise DomainError(f"expected three comma-separated entries, got {text!r}")
-        return _exact_triple(_parse_kd(part.strip()) for part in parts)
+        m = _TRIPLE_RE.fullmatch(text)
+        if m is None:
+            _triple_error(text)
+        # Four groups an entry, read lazily: each entry is parsed after the widths
+        # of the one before it pass.
+        return _exact_triple(map(_entry_kd, *[iter(m.groups())] * 4))
 
     def to_json(self) -> dict:
         if self.backend == "exact":
@@ -348,6 +387,13 @@ class MutationPath(Value):
 
     def to_json(self) -> list[int]:
         return list(self.indices)
+
+
+# _triple and _path set slots by their member descriptors, as object.__setattr__
+# would but without its lookup.
+_new = object.__new__
+_set_ks, _set_ds, _set_pqr = TripleS.ks.__set__, TripleS.ds.__set__, TripleS.pqr.__set__
+_set_indices = MutationPath.indices.__set__
 
 
 # -- tuple-level kernels (hot paths work on plain six-tuples) ----------
@@ -421,12 +467,16 @@ def _directions(
     differences count as non-decreasing; with rel_eps = 0 there is no
     slack, even on a product that overflows to inf.
     """
-    flags = []
     if ds is None:
+        flags = []
         for own, prod in zip(ks, (ks[1] * ks[2], ks[2] * ks[0], ks[0] * ks[1])):
             slack = rel_eps * max(1.0, abs(prod)) if rel_eps else 0.0
             flags.append(own * 2 <= prod + slack)
         return flags
+    k0, k1, k2 = ks
+    if k0 > 0 and k1 > 0 and k2 > 0:
+        return [t >= 2 * k0 * k0 * ds[0], t >= 2 * k1 * k1 * ds[1], t >= 2 * k2 * k2 * ds[2]]
+    flags = []
     for i in (0, 1, 2):
         k = ks[i]
         if k:

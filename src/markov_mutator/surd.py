@@ -8,9 +8,13 @@ renderings use.
 
 The radicand is factored only where a value enters the package: a
 Surd(k, radicand) built by a caller is checked in full, Surd.make splits
-a radicand that need not be squarefree, and _parse_kd, the one parser of
-the text grammar, turns a surd expression into the signed coefficient
-and squarefree radicand (k, d) with the same split. Every numeral of the
+a radicand that need not be squarefree, and _entry_kd turns the groups of
+a matched surd expression into the signed coefficient and squarefree
+radicand (k, d) with the same split. The expression is stated once, as
+the pattern fragment _ENTRY: Surd.parse matches it with ASCII whitespace
+around, and TripleS.parse matches three of it joined by commas in one
+pattern. Neither pattern has two repeats that can claim one character,
+so a failing match takes time linear in the text. Every numeral of the
 text grammars is read by _read_int. A (k, d) pair stored without a Surd
 is checked by _check_widths, and a value derived inside the package goes
 through _surd: both check only the 64-bit widths.
@@ -21,10 +25,12 @@ above that goes to a Miller-Rabin test and Pollard-Brent rho, which
 raises IterationCapExceeded once RHO_BUDGET steps are spent, so a split
 takes bounded time whatever the size of the radicand.
 
-The package multiplies exact values in one way, _product, on (k, d)
+The package multiplies two exact values in one way, _product, on (k, d)
 pairs in unbounded integers, and Surd multiplication is _product with
-the width check of the value it stores. No package code path does Surd
-arithmetic: a Surd is built only to show, compare or return a value.
+the width check of the value it stores; the product of a triple's three
+entries is read off one isqrt (matrices._exact_triple). No package code
+path does Surd arithmetic: a Surd is built only to show, compare or
+return a value.
 Multiplication, same-radicand subtraction and negation serve callers,
 such as the check of the 1,2-orbit against its Chebyshev closed form
 (acceptance criterion 7); squaring and exact comparison serve the
@@ -208,14 +214,13 @@ def _read_int(numeral: str, what: str) -> int:
         raise OverflowLimitError(message) from None
 
 
-_SURD_RE = re.compile(
-    r"""^\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+)\s*(?:\*\s*sqrt\(\s*(?P<rad1>\d+)\s*\))?
-          | sqrt\(\s*(?P<rad2>\d+)\s*\)
-        )\s*$""",
-    re.VERBOSE | re.ASCII,
-)
+# One surd entry with no whitespace around it: a signed numeral, a numeral times
+# sqrt(radicand), or sqrt(radicand). It is ASCII-only, so \d is [0-9] and \s is
+# [ \t\n\r\f\v], and each optional part carries its own whitespace, so no two repeats
+# can claim one character and a failing match takes time linear in the text.
+# Groups: sign, coefficient, radicand, radicand.
+_ENTRY = r"(?a:(?:([+-])\s*)?(?:(\d+)(?:\s*\*\s*sqrt\(\s*(\d+)\s*\))?|sqrt\(\s*(\d+)\s*\)))"
+_SURD_RE = re.compile(rf"\s*{_ENTRY}\s*", re.ASCII)
 
 
 def _check_widths(k: int, d: int) -> None:
@@ -234,9 +239,9 @@ def _surd(k: int, d: int) -> Surd:
     if not k:
         d = 1
     _check_widths(k, d)
-    s = object.__new__(Surd)
-    object.__setattr__(s, "k", k)
-    object.__setattr__(s, "radicand", d)
+    s = _new(Surd)
+    _set_k(s, k)
+    _set_radicand(s, d)
     return s
 
 
@@ -255,23 +260,25 @@ def _canonical(k: int, m: int) -> tuple[int, int]:
     return k * root, d
 
 
-def _parse_kd(text: str) -> tuple[int, int]:
-    """The signed coefficient and squarefree radicand (k, d) of a surd expression.
-
-    The grammar is the rendering one: 0, 3, -3, sqrt(5), 2*sqrt(5),
-    -sqrt(6). The radicand need not be squarefree and is split as
-    Surd.make splits it. Widths are not checked here: _surd checks them
-    when the value is built.
-    """
-    m = _SURD_RE.match(text)
-    if m is None:
-        raise DomainError(f"not a surd expression: {text!r}")
-    sign, coeff, rad1, rad2 = m.groups()
+def _entry_kd(sign, coeff, rad1, rad2) -> tuple[int, int]:
+    """The signed coefficient and squarefree radicand (k, d) of the groups of an
+    _ENTRY match, each a str or None. The radicand need not be squarefree and is
+    split as Surd.make splits it. Widths are not checked here."""
     k = _read_int(coeff, "surd coefficient") if coeff else 1
     if sign == "-":
         k = -k
     rad = rad1 or rad2
     return _canonical(k, _read_int(rad, "surd radicand")) if rad else (k, 1)
+
+
+def _parse_kd(text: str) -> tuple[int, int]:
+    """The (k, d) of a surd expression in the rendering grammar: 0, 3, -3, sqrt(5),
+    2*sqrt(5), -sqrt(6), with ASCII whitespace around and inside. Widths are not
+    checked here: _surd checks them when the value is built."""
+    m = _SURD_RE.fullmatch(text)
+    if m is None:
+        raise DomainError(f"not a surd expression: {text!r}")
+    return _entry_kd(*m.groups())
 
 
 def _render(k: int, d: int) -> str:
@@ -429,6 +436,12 @@ class Surd(Value):
             ):
                 return cls.make(sign * coeff, radicand)
         raise DomainError(f"not a surd JSON object: {obj!r}")
+
+
+# _surd sets the slots by their member descriptors, as object.__setattr__ would but
+# without its lookup.
+_new = object.__new__
+_set_k, _set_radicand = Surd.k.__set__, Surd.radicand.__set__
 
 
 def surd_from_integer_square(m: int) -> Surd:

@@ -724,6 +724,10 @@ def test_chebyshev_seeds_and_examples():
     assert chebyshev_u(3, r) == Surd.make(3, 5)
     with pytest.raises(DomainError):
         chebyshev_u(-3, r)
+    for n in (2.0, 2.5, -3.0, "2"):  # not ints, so no sequence index, on either backend
+        for x in (r, 3.0):
+            with pytest.raises(TypeError, match="chebyshev_u index must be an integer"):
+                chebyshev_u(n, x)
 
 
 def test_chebyshev_at_two():

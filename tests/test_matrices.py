@@ -3,16 +3,19 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import markov_mutator
+from markov_mutator import surd
 from markov_mutator.classify import ab_class
 from markov_mutator.enumeration import enumerate_m1
 from markov_mutator.errors import (
     DomainError,
+    MarkovMutatorError,
     NotInShat,
     OverflowLimitError,
     ProductMismatch,
@@ -255,6 +258,13 @@ def test_triple_backends():
         TripleS(Surd.from_int(3), 3.0, Surd.from_int(3))
     with pytest.raises(TypeError, match="float-backend entry must be a real number, got '3'"):
         TripleS(1.0, 2.0, "3")
+    for build in (TripleS, TripleS.approx):
+        for wide in (10**400, -(10**400)):  # ints past the float range
+            with pytest.raises(DomainError) as exc:
+                build(1, 2.0, wide)
+            assert str(exc.value) == f"float-backend entry must be finite, got {wide!r}"
+        with pytest.raises(DomainError, match="float-backend entry must be finite, got inf"):
+            build(1.0, float("inf"), 1.0)
 
 
 def test_triple_shat_membership():
@@ -323,13 +333,161 @@ def climbed_triples(draw):
     return permute(s, draw(st.permutations([1, 2, 3])))
 
 
-@given(climbed_triples())
-def test_parse_builds_what_the_constructor_builds(s):
-    text = str(s)
+# ASCII and Unicode whitespace: str.strip removes all of it around a triple's entry,
+# while Surd.parse and the inside of an entry take only the ASCII kind.
+_SPACES = st.sampled_from(["", " ", "  ", "\t", "\n", "\xa0", "\u2003", "\x1c"])
+
+
+def entry_by_entry(text):
+    """TripleS.parse read one entry at a time: split at commas, strip each part and parse
+    it with Surd.parse, then build the triple with the constructor."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise DomainError(f"expected three comma-separated entries, got {text!r}")
+    return TripleS(*(Surd.parse(part.strip()) for part in parts))
+
+
+@given(climbed_triples(), st.lists(_SPACES, min_size=6, max_size=6))
+def test_parse_builds_what_the_constructor_builds(s, spaces):
+    text = ",".join(a + e + b for e, a, b in zip(str(s).split(", "), spaces[::2], spaces[1::2]))
     parsed = TripleS.parse(text)
-    built = TripleS(*(Surd.parse(part) for part in text.split(",")))
+    built = entry_by_entry(text)
     assert parsed == built == s
     assert parsed.pqr == built.pqr == s.pqr
+
+
+# The surd grammar as one pattern, written apart from the package's: the language
+# Surd.parse keeps. Its adjacent whitespace repeats backtrack quadratically on a
+# failing match, so it only reads short texts.
+_SURD_LANGUAGE = re.compile(
+    r"""^\s*(?P<sign>[+-])?\s*
+        (?:
+            (?P<coeff>\d+)\s*(?:\*\s*sqrt\(\s*(?P<rad1>\d+)\s*\))?
+          | sqrt\(\s*(?P<rad2>\d+)\s*\)
+        )\s*$""",
+    re.VERBOSE | re.ASCII,
+)
+
+
+def surd_by_language(text):
+    """The Surd of a text of _SURD_LANGUAGE, with its numerals read as Surd.parse reads them."""
+    m = _SURD_LANGUAGE.match(text)
+    if m is None:
+        raise DomainError(f"not a surd expression: {text!r}")
+    sign, coeff, rad1, rad2 = m.groups()
+    k = surd._read_int(coeff, "surd coefficient") if coeff else 1
+    rad = rad1 or rad2
+    return Surd.make(-k if sign == "-" else k, surd._read_int(rad, "surd radicand") if rad else 1)
+
+
+def outcome(parse, text):
+    """What parse makes of text: the stored fields of its value, or its error's type and text."""
+    try:
+        value = parse(text)
+    except MarkovMutatorError as exc:
+        return type(exc), str(exc)
+    return (value.k, value.radicand) if isinstance(value, Surd) else (value.ks, value.ds, value.pqr)
+
+
+_NUMERALS = st.sampled_from(
+    ["0", "1", "2", "3", "5", "12", "007", "00", "45", "9223372036854775807", "9223372036854775808"]
+)
+_RADICANDS = st.sampled_from(
+    ["0", "1", "2", "4", "5", "8", "12", "45", "0012", "72", "9223372036854775811"]
+)
+
+
+# Inside an entry, mostly none or ASCII, so that most drawn entries are surd expressions.
+_INNER_SPACES = st.sampled_from(["", "", "", "", "", " ", " ", "\t", "\n", "\xa0"])
+
+
+@st.composite
+def entry_texts(draw):
+    """A surd expression with whitespace drawn around and inside it, ASCII or not."""
+    inner = lambda: draw(_INNER_SPACES)  # noqa: E731
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    body = draw(st.sampled_from([
+        draw(_NUMERALS),
+        f"{draw(_NUMERALS)}{inner()}*{inner()}sqrt({inner()}{draw(_RADICANDS)}{inner()})",
+        f"sqrt({inner()}{draw(_RADICANDS)}{inner()})",
+    ]))
+    return draw(_SPACES) + sign + (inner() if sign else "") + body + draw(_SPACES)
+
+
+_TOKENS = st.sampled_from(
+    list("0123456789+-*,() \t\n") + ["sqrt", "sqrt(", "x", "007", "12", "\xa0", "\u2003", "\x1c"]
+)
+_TRIPLE_TEXTS = st.lists(entry_texts(), min_size=3, max_size=3).map(",".join)
+# Triple texts, texts of two to four entries, triple texts with a token inserted, and
+# strings of tokens.
+_TEXTS = st.one_of(
+    _TRIPLE_TEXTS,
+    st.lists(entry_texts(), min_size=2, max_size=4).map(",".join),
+    st.tuples(_TRIPLE_TEXTS, _TOKENS, st.integers(0, 99)).map(
+        lambda t: t[0][: t[2]] + t[1] + t[0][t[2]:]
+    ),
+    st.lists(_TOKENS, max_size=16).map("".join),
+)
+
+
+@given(_TEXTS)
+@example("\xa05, 1, 1")
+@example("9223372036854775808, x, 1")
+@example("sqrt(2), sqrt(3), sqrt(5)")
+@example("2*sqrt(8), 0012 , sqrt( 18 )")
+def test_parse_agrees_with_the_entry_by_entry_reader(text):
+    """One match per text reads what split, strip and Surd.parse read, and fails as they
+    fail, in the same order; Surd.parse keeps the language of _SURD_LANGUAGE."""
+    assert outcome(TripleS.parse, text) == outcome(entry_by_entry, text)
+    for part in text.split(","):
+        assert outcome(Surd.parse, part) == outcome(surd_by_language, part)
+
+
+def test_an_entry_is_ascii_and_only_the_triple_strips_unicode_whitespace():
+    assert TripleS.parse("\xa05, 1,\u20031\x1c") == TripleS.parse("5, 1, 1")
+    for text in ("\xa05", "5\u2003", "2*\xa0sqrt(5)", "\u0663", "sqrt(\uff15)"):
+        with pytest.raises(DomainError, match="not a surd expression"):
+            Surd.parse(text)
+    # inside an entry, only ASCII whitespace and ASCII digits
+    for text in ("-\xa05, 1, 1", "2*\xa0sqrt(5), 1, 1", "1, sqrt(\u20035), 1", "\u0663, 1, 1"):
+        with pytest.raises(DomainError, match="not a surd expression"):
+            TripleS.parse(text)
+
+
+_RUN = " " * 200_000
+# (parser, text, message): {} in the text and the message is a run of 200 000 spaces,
+# and {!r} in the message the repr of the whole text; each text fails at its end.
+_LONG_RUNS = [
+    (Surd.parse, "{}x", "not a surd expression: {!r}"),
+    (Surd.parse, "-{}x", "not a surd expression: {!r}"),
+    (Surd.parse, "2{}x", "not a surd expression: {!r}"),
+    (Surd.parse, "2{}*{}x", "not a surd expression: {!r}"),
+    (Surd.parse, "2*{}sqrt(5)x", "not a surd expression: {!r}"),
+    (Surd.parse, "sqrt({}5{})x", "not a surd expression: {!r}"),
+    (Surd.parse, "+{}sqrt({}5{}){}x", "not a surd expression: {!r}"),
+    (TripleS.parse, "2{}x, 1, 1", "not a surd expression: '2{}x'"),
+    (TripleS.parse, "{}x, 1, 1", "not a surd expression: 'x'"),
+    (TripleS.parse, "1,{}-{}x, 1", "not a surd expression: '-{}x'"),
+    (TripleS.parse, "1, 2{}*{}x, 3", "not a surd expression: '2{}*{}x'"),
+    (TripleS.parse, "1, 1, sqrt({}5{}x", "not a surd expression: 'sqrt({}5{}x'"),
+    (TripleS.parse, "{}1{},{}1{},{}1{}x{}", "not a surd expression: '1{}x'"),
+    (MatM.parse, "{}x", "expected 'x y z / x' y' z'', got {!r}"),
+    (MatM.parse, "1{}2{}3 / 4 5{}x", "non-integer entry in {!r}"),
+    (MatM.parse, "[{}x", "Expecting value: line 1 column 200002 (char 200001)"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, message", _LONG_RUNS, ids=[f"{p.__qualname__}({t!r})" for p, t, _ in _LONG_RUNS]
+)
+def test_parsers_fail_in_linear_time(parse, text, message):
+    text = text.replace("{}", _RUN)
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as exc:
+        parse(text)
+    assert time.perf_counter() - start < 2
+    expected = message.replace("{!r}", repr(text)).replace("{}", _RUN)
+    assert str(exc.value) == expected
 
 
 def test_triple_json():
