@@ -27,7 +27,7 @@ import math
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
-from .errors import DomainError, IterationCapExceeded, OverflowLimitError, ensure_budget
+from .errors import DomainError, IterationCapExceeded, OverflowLimitError, ensure_budget, ensure_int
 from .matrices import (
     CyclicityClass,
     MatM,
@@ -59,7 +59,6 @@ __all__ = [
     "is_cluster_positive",
     "is_fixed_point",
     "mk_class",
-    "mk_class_matm",
     "one_two_orbit",
 ]
 
@@ -191,15 +190,6 @@ def mk_class(s: TripleS) -> MkClass:
     (0, 0, 3) counts two and is M2, and (2, 3, -1) counts one and is M3.
     """
     return _CLASS_BY_COUNT[sum(_directions(s.ks, s.ds, s.pqr))]
-
-
-def mk_class_matm(m: MatM) -> MkClass:
-    """The class of a positive matrix: that of sk(m), whose squares are xx', yy', zz'
-    and whose product is xyz."""
-    if not m.is_positive():
-        raise DomainError("mk_class_matm requires a positive matrix")
-    squares = [a * b for a, b in m.columns()]
-    return _CLASS_BY_COUNT[sum(_directions((1, 1, 1), squares, m.x * m.y * m.z))]
 
 
 def descent_step(s: TripleS, rel_eps: float = 0.0) -> Optional[tuple[int, TripleS]]:
@@ -433,12 +423,10 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
     leaves the float range long before, and a value past the float range
     raises OverflowLimitError too.
 
-    n must be an int: any other type, a float with an integer value
+    n must be an int: any other type, a bool or a float with an integer value
     included, is a TypeError.
     """
-    if not isinstance(n, int):
-        raise TypeError(f"chebyshev_u index must be an integer, got {type(n).__name__}")
-    if n < -2:
+    if ensure_int(n, "chebyshev_u index") < -2:
         raise DomainError(f"chebyshev_u requires n >= -2, got {n}")
     if isinstance(r, Surd):
         square = r.square()

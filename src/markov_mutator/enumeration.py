@@ -1,5 +1,5 @@
 """Exhaustive search for descent-minimal triples with a prescribed
-Markov constant, plus the witness families showing every integer <= 4
+Markov constant, plus the witness family showing every integer <= 4
 is attained.
 
 Everything runs over the integer squares (a, b, c) = (p^2, q^2, r^2)
@@ -46,7 +46,6 @@ __all__ = [
     "M1Representative",
     "enumerate_m1",
     "surjectivity_witness",
-    "surjectivity_witness_alt",
 ]
 
 # The bound on the search: constants below -ENUMERATION_CAP, and caps on p^2
@@ -175,10 +174,3 @@ def surjectivity_witness(n: int) -> TripleS:
     if n > 4:
         raise DomainError(f"no cluster-positive triple has constant {n} > 4")
     return _root_triple(5 * (5 - n), 4 * (5 - n), 5)
-
-
-def surjectivity_witness_alt(n: int) -> TripleS:
-    """Independent second family (sqrt(9-n), sqrt(9-n), 3) with constant n."""
-    if n > 4:
-        raise DomainError(f"no cluster-positive triple has constant {n} > 4")
-    return _root_triple(9 - n, 9 - n, 9)

@@ -9,16 +9,22 @@ iteration cap, search budget) was hit. The CLI maps the two to exit codes
 1 and 2 and catches nothing else, so any other exception is a bug and
 shows as one. DomainError is also a ValueError, so code that catches
 ValueError around a parse keeps working; a value of the wrong Python type
-stays a TypeError. A budget the caller passes (a descent cap, a search
-depth, an entry bound, a cap on p^2) is non-negative, and a negative one
-is a domain error, raised by ensure_budget.
+stays a TypeError.
+
+The module-level helpers state three input rules once each, and the
+other modules call them: ensure_int refuses a value whose type is not int
+itself (a bool or a float is no integer field), ensure_int64 holds a
+stored value to signed 64 bits, and ensure_budget refuses a negative
+budget the caller passes (a descent cap, a search depth, an entry bound,
+a cap on p^2) as a domain error. Their error texts show a value wider
+than 14000 bits by its bit length (_int_repr), as int's string
+conversion may refuse its digits.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "INT64_MAX",
-    "INT64_MIN",
     "DomainError",
     "IterationCapExceeded",
     "MarkovMutatorError",
@@ -29,9 +35,6 @@ __all__ = [
     "RadicandMismatch",
     "ResourceError",
     "SignMismatch",
-    "ValidationError",
-    "ensure_budget",
-    "ensure_int64",
 ]
 
 INT64_MIN = -(1 << 63)
@@ -50,15 +53,11 @@ class ResourceError(MarkovMutatorError):
     """A configured bound was exceeded."""
 
 
-class ValidationError(DomainError):
-    """A six-tuple failed the matrix invariants."""
-
-
-class ProductMismatch(ValidationError):
+class ProductMismatch(DomainError):
     """xyz differs from x'y'z'."""
 
 
-class SignMismatch(ValidationError):
+class SignMismatch(DomainError):
     """Some column pairs an entry with a primed entry of a different sign."""
 
 
@@ -96,15 +95,27 @@ class IterationCapExceeded(ResourceError):
         self.last = last
 
 
-def ensure_int64(value: int, context: str = "entry") -> int:
-    """Return value unchanged if it fits in signed 64 bits, else raise."""
+def _int_repr(value: int) -> str:
+    """repr(value), or '<N-bit int>' past 14000 bits, about 4215 digits: int's string
+    conversion refuses more digits than sys.get_int_max_str_digits(), 4300 by default."""
+    n = value.bit_length()
+    return repr(value) if n <= 14000 else f"<{n}-bit int>"
+
+
+def ensure_int(value: int, what: str) -> int:
+    """Return value unchanged if its type is int itself, else raise TypeError naming what."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def ensure_int64(value: int, context: str) -> None:
+    """Raise OverflowLimitError naming context unless value fits in signed 64 bits."""
     if value < INT64_MIN or value > INT64_MAX:
-        raise OverflowLimitError(f"{context} {value} exceeds the signed 64-bit range")
-    return value
+        raise OverflowLimitError(f"{context} {_int_repr(value)} exceeds the signed 64-bit range")
 
 
-def ensure_budget(value: int, name: str) -> int:
-    """Return value unchanged if it is non-negative, else raise DomainError naming it."""
+def ensure_budget(value: int, name: str) -> None:
+    """Raise DomainError naming the budget unless value is non-negative."""
     if value < 0:
-        raise DomainError(f"{name} must be non-negative, got {value}")
-    return value
+        raise DomainError(f"{name} must be non-negative, got {_int_repr(value)}")

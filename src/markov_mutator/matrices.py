@@ -48,11 +48,15 @@ from operator import attrgetter
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence, Union
 
 from .errors import (
+    INT64_MAX,
+    INT64_MIN,
     DomainError,
     NotInShat,
     OverflowLimitError,
     ProductMismatch,
     SignMismatch,
+    _int_repr,
+    ensure_int,
     ensure_int64,
 )
 from .surd import (
@@ -105,10 +109,11 @@ class MatM(Value):
     zp: int
 
     def __init__(self, x: int, y: int, z: int, xp: int, yp: int, zp: int) -> None:
+        # the checks that raise, and the texts that name the entry, run only on a failure
         for name, e in zip(_ENTRY_NAMES, (x, y, z, xp, yp, zp)):
-            if not isinstance(e, int):
-                raise TypeError(f"entry {name} must be an integer, got {type(e).__name__}")
-            ensure_int64(e, f"matrix entry {name}")
+            if type(e) is not int or not INT64_MIN <= e <= INT64_MAX:
+                ensure_int(e, f"entry {name}")
+                ensure_int64(e, f"matrix entry {name}")
         if x * y * z != xp * yp * zp:
             raise ProductMismatch(f"xyz = {x * y * z} but x'y'z' = {xp * yp * zp}")
         for name, a, b in (("x", x, xp), ("y", y, yp), ("z", z, zp)):
@@ -129,12 +134,6 @@ class MatM(Value):
     def transpose(self) -> MatM:
         return MatM(self.xp, self.yp, self.zp, self.x, self.y, self.z)
 
-    # -- 3x3 matrix form ----------------------------------------------
-
-    def to_matrix(self) -> list[list[int]]:
-        x, y, z, xp, yp, zp = self.entries()
-        return [[0, -zp, y], [z, 0, -xp], [-yp, x, 0]]
-
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[int]]) -> MatM:
         """Build from a row-major 3x3 matrix, validating skew-symmetrizability."""
@@ -153,8 +152,6 @@ class MatM(Value):
         if any(b[i][i] != 0 for i in range(3)):
             raise SignMismatch("diagonal entries must be zero")
         return cls(x=b[2][1], y=b[0][2], z=b[1][0], xp=-b[1][2], yp=-b[2][0], zp=-b[0][1])
-
-    # -- text and JSON ------------------------------------------------
 
     def __str__(self) -> str:
         return f"{self.x} {self.y} {self.z} / {self.xp} {self.yp} {self.zp}"
@@ -182,9 +179,6 @@ class MatM(Value):
         if len(rows[0]) != 3 or len(rows[1]) != 3:
             raise DomainError(f"expected three entries per row in {text!r}")
         return cls(*map(_read_int, rows[0] + rows[1], [f"matrix entry {n}" for n in _ENTRY_NAMES]))
-
-    def to_json(self) -> dict:
-        return {"tuple": str(self), "entries": list(self.entries())}
 
 
 def _exact_triple(pairs: Iterable[tuple[int, int]]) -> TripleS:
@@ -239,15 +233,18 @@ def _path(indices: tuple[int, ...]) -> MutationPath:
 
 
 def _finite_float(e) -> float:
-    """float(e) for a float-backend entry, which must be finite: an int past the
-    float range is not."""
+    """float(e) for a float-backend entry: an int or a float, not a bool, and
+    finite, which an int past the float range is not."""
+    if not isinstance(e, (int, float)) or isinstance(e, bool):
+        raise TypeError(f"float-backend entry must be a real number, got {e!r}")
     try:
         f = float(e)
         if math.isfinite(f):
             return f
+        shown = repr(f)
     except OverflowError:
-        f = e
-    raise DomainError(f"float-backend entry must be finite, got {f!r}")
+        shown = _int_repr(e)
+    raise DomainError(f"float-backend entry must be finite, got {shown}")
 
 
 def _triple_error(text: str) -> NoReturn:
@@ -296,12 +293,7 @@ class TripleS(Value):
             exact = _exact_triple((e.k, e.radicand) for e in (p, q, r))
             ks, ds, pqr = exact.ks, exact.ds, exact.pqr
         else:
-            floats = []
-            for e in (p, q, r):
-                if not isinstance(e, (int, float)) or isinstance(e, bool):
-                    raise TypeError(f"float-backend entry must be a real number, got {e!r}")
-                floats.append(_finite_float(e))
-            ks, ds = tuple(floats), None
+            ks, ds = (_finite_float(p), _finite_float(q), _finite_float(r)), None
             pqr = ks[0] * ks[1] * ks[2]
         for slot, value in zip(TripleS.__slots__, (ks, ds, pqr)):
             object.__setattr__(self, slot, value)
@@ -349,14 +341,6 @@ class TripleS(Value):
         # of the one before it pass.
         return _exact_triple(map(_entry_kd, *[iter(m.groups())] * 4))
 
-    def to_json(self) -> dict:
-        if self.backend == "exact":
-            return {
-                "text": str(self),
-                "entries": [e.to_json() for e in self.entries()],
-            }
-        return {"entries": list(self.entries())}
-
 
 class MutationPath(Value):
     """A finite word over {1, 2, 3} with no two consecutive letters equal."""
@@ -367,9 +351,7 @@ class MutationPath(Value):
     def __init__(self, indices: Sequence[int] = ()) -> None:
         indices = tuple(indices)
         for i in indices:
-            if not isinstance(i, int):
-                raise TypeError(f"path index must be an integer, got {type(i).__name__}")
-            if i not in (1, 2, 3):
+            if ensure_int(i, "path index") not in (1, 2, 3):
                 raise DomainError(f"path index {i} is not in {{1, 2, 3}}")
         for a, b in zip(indices, indices[1:]):
             if a == b:
@@ -381,9 +363,6 @@ class MutationPath(Value):
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def reversed(self) -> MutationPath:
-        return MutationPath(tuple(reversed(self.indices)))
 
     def to_json(self) -> list[int]:
         return list(self.indices)
@@ -583,29 +562,23 @@ _PERMS = {
 }
 
 
-def permute(m: Union[MatM, TripleS], sigma: Sequence[int], transpose: bool = False):
-    """Permute the three columns by sigma; optionally swap the tuple rows.
-
-    Position i of the result holds column sigma[i] of the input
-    (1-based). Transposition is only meaningful for MatM; on triples it
-    is the identity, and asking for it raises.
-    """
+def permute(m: Union[MatM, TripleS], sigma: Sequence[int]):
+    """Permute the three columns by sigma: position i of the result holds column
+    sigma[i] of the input (1-based). permute(m, sigma).transpose() also swaps a
+    matrix's two tuple rows."""
     sig = tuple(sigma)
-    if not all(isinstance(i, int) for i in sig):
+    if not all(type(i) is int for i in sig):
         raise TypeError(f"sigma must hold integers, got {sigma!r}")
     if sig not in _PERMS:
         raise DomainError(f"sigma must be a permutation of (1, 2, 3), got {sigma!r}")
     if isinstance(m, MatM):
         cols = m.columns()
         picked = [cols[i - 1] for i in sig]
-        out = MatM(
+        return MatM(
             picked[0][0], picked[1][0], picked[2][0],
             picked[0][1], picked[1][1], picked[2][1],
         )
-        return out.transpose() if transpose else out
     if isinstance(m, TripleS):
-        if transpose:
-            raise DomainError("transpose does not act on triples")
         ent = m.entries()
         return TripleS(*(ent[i - 1] for i in sig))
     raise TypeError(f"cannot permute {type(m).__name__}")

@@ -2,9 +2,8 @@
 
 k is a signed integer coefficient, the radicand is kept squarefree and
 zero is stored canonically as (0, 1), so equality of the two fields is
-equality of the represented reals. The sign and the magnitude of k stay
-readable as sign and coeff, which is the form the text and JSON
-renderings use.
+equality of the represented reals. The JSON form writes k as its sign
+and its magnitude, coeff.
 
 The radicand is factored only where a value enters the package: a
 Surd(k, radicand) built by a caller is checked in full, Surd.make splits
@@ -53,6 +52,7 @@ from .errors import (
     IterationCapExceeded,
     OverflowLimitError,
     RadicandMismatch,
+    ensure_int,
     ensure_int64,
 )
 from .value import Value
@@ -324,12 +324,13 @@ class Surd(Value):
     radicand: int
 
     def __init__(self, k: int, radicand: int) -> None:
+        ensure_int(k, "surd coefficient")
+        ensure_int(radicand, "surd radicand")
         if k == 0 and radicand != 1:
             raise DomainError("the canonical zero is (0, 1)")
         if radicand <= 0:
             raise DomainError(f"radicand must be positive, got {radicand!r}")
-        ensure_int64(abs(k), "surd coefficient")
-        ensure_int64(radicand, "surd radicand")
+        _check_widths(k, radicand)
         if _squarefree_split(radicand)[1] != radicand:
             raise DomainError(f"radicand {radicand} is not squarefree")
         object.__setattr__(self, "k", k)
@@ -339,23 +340,17 @@ class Surd(Value):
     def sign(self) -> int:
         return (self.k > 0) - (self.k < 0)
 
-    @property
-    def coeff(self) -> int:
-        return abs(self.k)
-
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls) -> Surd:
-        return _surd(0, 1)
-
-    @classmethod
     def from_int(cls, n: int) -> Surd:
-        return _surd(n, 1)
+        return _surd(ensure_int(n, "surd coefficient"), 1)
 
     @classmethod
     def make(cls, signed_coeff: int, radicand: int) -> Surd:
         """Canonicalize signed_coeff * sqrt(radicand); radicand need not be squarefree."""
+        ensure_int(signed_coeff, "surd coefficient")
+        ensure_int(radicand, "surd radicand")
         if signed_coeff and radicand < 0:
             raise DomainError("radicand must be non-negative")
         return _surd(*_canonical(signed_coeff, radicand))
@@ -421,7 +416,7 @@ class Surd(Value):
         return _surd(*_parse_kd(text))
 
     def to_json(self) -> dict[str, int]:
-        return {"sign": self.sign, "coeff": self.coeff, "radicand": self.radicand}
+        return {"sign": self.sign, "coeff": abs(self.k), "radicand": self.radicand}
 
     @classmethod
     def from_json(cls, obj: Any) -> Surd:

@@ -11,7 +11,6 @@ from markov_mutator.enumeration import (
     M1Representative,
     enumerate_m1,
     surjectivity_witness,
-    surjectivity_witness_alt,
 )
 from markov_mutator.errors import DomainError, ResourceError
 from markov_mutator.matrices import TripleS, markov_c_s
@@ -201,8 +200,6 @@ def test_witness_examples():
     assert str(surjectivity_witness(-11)) == "4*sqrt(5), 8, sqrt(5)"
     with pytest.raises(DomainError):
         surjectivity_witness(5)
-    with pytest.raises(DomainError):
-        surjectivity_witness_alt(5)
 
 
 @given(st.integers(-60, 4))
@@ -212,12 +209,3 @@ def test_witness_constant_and_class(n):
     assert mk_class(s) is MkClass.M1
     lifted = lift_to_matm(s)
     assert is_cluster_cyclic(lifted)[0]
-
-
-@given(st.integers(-60, 4))
-def test_witness_alt_constant(n):
-    s = surjectivity_witness_alt(n)
-    assert markov_c_s(s) == n
-    # (sqrt(9-n), sqrt(9-n), 3) is descent-minimal only up to n = 3
-    expected = MkClass.M1 if n <= 3 else MkClass.M2
-    assert mk_class(s) is expected

@@ -1,12 +1,14 @@
-"""Every name a package module imports is used, every name it exports is bound,
-the package root exports exactly the joined __all__ of the modules it star-imports,
-every private module-level function is referred to outside its own def, no
-module holds an assert statement, and the command line starts without the
-standard library's heavy introspection modules or json."""
+"""Every name a package module imports is used, every name it exports is bound
+and reached from outside its module, the package root exports exactly the joined
+__all__ of the modules it star-imports, every private module-level function is
+referred to outside its own def, no module holds an assert statement, and the
+command line starts without the standard library's heavy introspection modules
+or json."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ import pytest
 import markov_mutator
 
 MODULES = sorted(Path(markov_mutator.__file__).parent.glob("*.py"))
+ROOT = Path(markov_mutator.__file__).parents[2]
 
 
 def exported(source: str) -> set[str]:
@@ -78,6 +81,56 @@ def orphaned_private_functions(sources: list[str]) -> list[str]:
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
     return sorted(private - read)
+
+
+def referred(source: str) -> set[str]:
+    """The names a Python source reads or imports, attribute names included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def unreached_exports(modules: dict[str, str], readers: list[str], text: str) -> list[str]:
+    """Names in a module's __all__, as 'module.name', that no other module, no reader
+    source and no word of text refers to: a name that only its own module reads is
+    a helper, not a part of the surface."""
+    outside = set().union(*map(referred, readers))
+    refs = {module: referred(source) for module, source in modules.items()}
+    found = []
+    for module, source in modules.items():
+        seen = outside.union(*(names for m, names in refs.items() if m != module))
+        found += [
+            f"{module}.{name}"
+            for name in sorted(exported(source))
+            if name not in seen and not re.search(rf"\b{re.escape(name)}\b", text)
+        ]
+    return found
+
+
+def test_unreached_exports_finds_only_unreferenced_names():
+    modules = {
+        "a": "__all__ = ['f', 'g', 'h', 'k']\ndef f(): pass\ndef g(): pass\ndef h(): g()\nk = 1\n",
+        "b": "from .a import f\n",
+    }
+    readers = ["import m\nm.a.h()\n"]
+    assert unreached_exports(modules, readers, "") == ["a.g", "a.k"]
+    assert unreached_exports(modules, readers, "`k` is the (g) of k2") == []
+    assert unreached_exports(modules, [], "gh, hk") == ["a.g", "a.h", "a.k"]
+
+
+def test_every_export_is_reached_from_outside_its_module():
+    # the command line, the README, the acceptance gate and the benchmark are the
+    # users of the library surface; bench/ is read, never imported here
+    modules = {path.stem: path.read_text() for path in MODULES}
+    paths = [ROOT / "src/markov_mutator/cli.py", ROOT / "tests/test_acceptance.py"]
+    readers = [path.read_text() for path in paths + sorted((ROOT / "bench").glob("*.py"))]
+    assert unreached_exports(modules, readers, (ROOT / "README.md").read_text()) == []
 
 
 def test_orphaned_private_functions_finds_only_unreferenced_helpers():

@@ -33,12 +33,11 @@ def cmp(a, b):
 
 
 def test_canonical_zero():
-    assert Surd.zero() == Surd(0, 1)
-    assert Surd.from_int(0) == Surd.zero()
-    assert Surd.make(0, 5) == Surd.zero()
-    assert Surd.make(3, 0) == Surd.zero()
-    assert Surd.zero().is_zero()
-    assert str(Surd.zero()) == "0"
+    assert Surd.from_int(0) == Surd(0, 1)
+    assert Surd.make(0, 5) == Surd.from_int(0)
+    assert Surd.make(3, 0) == Surd.from_int(0)
+    assert Surd.from_int(0).is_zero()
+    assert str(Surd.from_int(0)) == "0"
 
 
 def test_make_canonicalizes_square_factors():
@@ -57,6 +56,16 @@ def test_constructor_rejects_non_canonical():
         Surd(1, 0)
     with pytest.raises(ValueError):
         Surd(-1, -2)
+    # an integer field takes an int: no bool, and no float even of integer value
+    for build, args, message in [
+        (Surd, (1.5, 2), "surd coefficient must be an integer, got float"),
+        (Surd, (2, 2.0), "surd radicand must be an integer, got float"),
+        (Surd, (True, 1), "surd coefficient must be an integer, got bool"),
+        (Surd.make, (1, True), "surd radicand must be an integer, got bool"),
+        (Surd.from_int, (3.0,), "surd coefficient must be an integer, got float"),
+    ]:
+        with pytest.raises(TypeError, match=message):
+            build(*args)
 
 
 def test_int64_storage_bound():
@@ -69,12 +78,23 @@ def test_int64_storage_bound():
         Surd(1, big + 1)
     with pytest.raises(OverflowLimitError):
         Surd.from_int(3) * Surd.from_int(big // 2)
+    # past 14000 bits, near int's string conversion limit, the text gives the width
+    widest_shown = (1 << 14000) - 1
+    for k, d, shown in [
+        (10**5000, 1, "surd coefficient <16610-bit int>"),
+        (1, 10**5000, "surd radicand <16610-bit int>"),
+        (-widest_shown, 1, f"surd coefficient {widest_shown}"),
+        (widest_shown + 1, 1, "surd coefficient <14001-bit int>"),
+    ]:
+        with pytest.raises(OverflowLimitError) as exc:
+            Surd(k, d)
+        assert str(exc.value) == f"{shown} exceeds the signed 64-bit range"
 
 
 def test_square_and_float():
     assert Surd.make(2, 5).square() == 20
     assert Surd.make(-2, 5).square() == 20
-    assert Surd.zero().square() == 0
+    assert Surd.from_int(0).square() == 0
     assert float(Surd.make(2, 5)) == pytest.approx(2 * math.sqrt(5))
     assert float(Surd.make(-3, 1)) == -3.0
 
@@ -121,7 +141,7 @@ def test_multiplication_examples():
     assert Surd.make(-2, 3) * Surd.make(3, 3) == Surd.from_int(-18)
     assert Surd.make(2, 5) * 3 == Surd.make(6, 5)
     assert 3 * Surd.make(2, 5) == Surd.make(6, 5)
-    assert Surd.make(2, 5) * Surd.zero() == Surd.zero()
+    assert Surd.make(2, 5) * Surd.from_int(0) == Surd.from_int(0)
     with pytest.raises(TypeError):  # __mul__ and __rmul__ return NotImplemented
         Surd(1, 1) * "x"
 
@@ -142,9 +162,9 @@ def test_multiplication_associative_commutative(a, b, c):
 def test_subtraction_same_radicand():
     assert Surd.make(3, 5) - Surd.make(1, 5) == Surd.make(2, 5)
     assert Surd.make(1, 5) - Surd.make(3, 5) == Surd.make(-2, 5)
-    assert Surd.make(2, 5) - Surd.make(2, 5) == Surd.zero()
-    assert Surd.make(2, 5) - Surd.zero() == Surd.make(2, 5)
-    assert Surd.zero() - Surd.make(2, 5) == Surd.make(-2, 5)
+    assert Surd.make(2, 5) - Surd.make(2, 5) == Surd.from_int(0)
+    assert Surd.make(2, 5) - Surd.from_int(0) == Surd.make(2, 5)
+    assert Surd.from_int(0) - Surd.make(2, 5) == Surd.make(-2, 5)
     with pytest.raises(RadicandMismatch):
         Surd.make(1, 2) - Surd.make(1, 3)
     with pytest.raises(TypeError):  # only Surd - Surd is defined
@@ -160,7 +180,7 @@ def test_subtraction_matches_integer_coefficients(d, j, k):
 def test_ordering_examples():
     assert Surd.make(1, 2) < Surd.make(1, 3)
     assert Surd.make(2, 2) > Surd.make(1, 5)  # 8 > 5
-    assert Surd.make(-1, 2) < Surd.zero() < Surd.make(1, 2)
+    assert Surd.make(-1, 2) < Surd.from_int(0) < Surd.make(1, 2)
     assert Surd.make(-1, 2) > Surd.make(-1, 3)
     assert Surd.make(3, 1) >= Surd.from_int(3)
     assert cmp(Surd.make(2, 3), Surd.make(2, 3)) == 0
@@ -176,13 +196,13 @@ ORDER_TABLE = [
     (Surd.from_int(3), 2.5, 1),
     (Surd.from_int(3), 3.5, -1),
     (Surd.from_int(3), Surd.from_int(3), 0),
-    (Surd.zero(), 0, 0),
-    (Surd.zero(), 0.0, 0),
-    (Surd.zero(), -0.0, 0),
-    (Surd.zero(), 1, -1),
-    (Surd.zero(), -1, 1),
-    (Surd.zero(), 1e-300, -1),
-    (Surd.zero(), Surd.zero(), 0),
+    (Surd.from_int(0), 0, 0),
+    (Surd.from_int(0), 0.0, 0),
+    (Surd.from_int(0), -0.0, 0),
+    (Surd.from_int(0), 1, -1),
+    (Surd.from_int(0), -1, 1),
+    (Surd.from_int(0), 1e-300, -1),
+    (Surd.from_int(0), Surd.from_int(0), 0),
     (Surd.from_int(-2), -2, 0),
     (Surd.from_int(-2), -2.0, 0),
     (Surd.from_int(-2), -1, -1),
@@ -255,7 +275,7 @@ def test_negation(s):
 
 
 def test_from_integer_square():
-    assert surd_from_integer_square(0) == Surd.zero()
+    assert surd_from_integer_square(0) == Surd.from_int(0)
     assert surd_from_integer_square(25) == Surd.from_int(5)
     assert surd_from_integer_square(20) == Surd.make(2, 5)
     assert surd_from_integer_square(7) == Surd.make(1, 7)

@@ -3,16 +3,19 @@
 
     python3 tools/ab.py --base HEAD~1 --workload triple-descent --rounds 40
 
-The base revision is checked out with ``git worktree`` into a temporary
-directory, which is removed afterwards. Both copies of the package are
-loaded into this one process under distinct names (the package uses only
+The base revision's ``src/`` is exported with ``git archive`` into a
+temporary directory, which is removed afterwards, and no worktree is
+registered in the repository. Both copies of the package are loaded into
+this one process under distinct names (the package uses only
 relative imports), and ``bench/workloads.py`` is imported read-only, with
 no bytecode written. Each round runs every case of the workload once on
 each side, the side that goes first alternating, times each call as
 ``bench/run.py`` does and checks every answer with the workload's own
 check. The report gives each side's ``work_per_s`` over the rounds (median
 and quartiles), the median of the rounds' head/base ratios, which pairing
-keeps clear of the host's drift, and the rounds each side won.
+keeps clear of the host's drift, with its 95% percentile-bootstrap interval
+(BOOTSTRAP_RESAMPLES resamples of the rounds from a fixed seed, so one set
+of rounds always gives one interval), and the rounds each side won.
 Nothing is written under ``bench/``.
 """
 
@@ -21,10 +24,13 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import io
+import random
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -32,6 +38,7 @@ from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("surd", "matrices", "classify", "orbits", "enumeration", "cli", "errors")
+BOOTSTRAP_RESAMPLES = 10_000
 
 
 def import_workloads():
@@ -85,6 +92,16 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def bootstrap_median(xs: list[float]) -> tuple[float, float]:
+    """The 2.5th and 97.5th percentiles of the median of xs resampled with replacement."""
+    rng = random.Random(0)
+    medians = sorted(
+        statistics.median(rng.choices(xs, k=len(xs))) for _ in range(BOOTSTRAP_RESAMPLES)
+    )
+    tail = BOOTSTRAP_RESAMPLES // 40  # 2.5% of the resamples on each side
+    return medians[tail], medians[-tail - 1]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare the working tree against")
@@ -102,12 +119,16 @@ def main(argv=None) -> int:
         ap.error("--rounds must be at least 1")
 
     tmp = Path(tempfile.mkdtemp(prefix="markov-mutator-ab-"))
-    tree = tmp / "base"
-    git = ["git", "-C", str(ROOT)]
     try:
-        if subprocess.run(git + ["worktree", "add", "--detach", "--quiet", str(tree), args.base]).returncode:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "--format=tar", args.base, "src"],
+            stdout=subprocess.PIPE,
+        )
+        if archive.returncode:
             return 2  # git has printed why
-        sides = {"base": load_package("mm_ab_base", tree / "src"),
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        sides = {"base": load_package("mm_ab_base", tmp / "src"),
                  "head": load_package("mm_ab_head", ROOT / "src")}
         wl = cls(args.seed, str(ROOT / "src"))
         for mm in sides.values():
@@ -119,7 +140,6 @@ def main(argv=None) -> int:
             for side in order:
                 rates[side].append(run_round(wl, sides[side], errors))
     finally:
-        subprocess.run(git + ["worktree", "remove", "--force", str(tree)], capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     for problem in errors[:10]:
@@ -131,7 +151,9 @@ def main(argv=None) -> int:
         print(f"  {side}: work_per_s median {q2:,.0f}, quartiles {q1:,.0f} .. {q3:,.0f}")
     ratios = [h / b for h, b in zip(rates["head"], rates["base"])]
     head_wins = sum(r > 1 for r in ratios)
-    print(f"  median of the rounds' head/base ratios: {statistics.median(ratios):.3f}; "
+    low, high = bootstrap_median(ratios)
+    print(f"  median of the rounds' head/base ratios: {statistics.median(ratios):.3f} "
+          f"(95% bootstrap interval {low:.3f} .. {high:.3f}); "
           f"rounds won: head {head_wins}, base {args.rounds - head_wins}")
     print(f"  correct: {not errors}")
     return 1 if errors else 0
