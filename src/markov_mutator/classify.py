@@ -27,7 +27,9 @@ import math
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
-from .errors import DomainError, IterationCapExceeded, OverflowLimitError, ensure_budget, ensure_int
+from .errors import (
+    DomainError, IterationCapExceeded, OverflowLimitError, _int_repr, ensure_budget, ensure_int,
+)
 from .matrices import (
     CyclicityClass,
     MatM,
@@ -246,10 +248,10 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     FLOAT_CLASS_EPS. (Over triples with integer squares the answer is
     always A, and off C = 4 class B cannot occur.) A representative reached
     in no step is s itself. Hitting the cap raises IterationCapExceeded
-    with the last iterate; a negative cap is a DomainError, and cap = 0
-    allows no step.
+    with the last iterate; a cap that is not an int is a TypeError, a
+    negative cap a DomainError, and cap = 0 allows no step.
     """
-    if cap < 0:
+    if type(cap) is not int or cap < 0:  # tested inline, as MatM does, to keep the call out
         ensure_budget(cap, "cap")
     k0, k1, k2 = s.ks
     if not (k0 > 0 and k1 > 0 and k2 > 0):
@@ -402,11 +404,12 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
     odd j. Only the c_j with j of the parity of n are width-checked, as
     they are reached: for r**2 >= 5, |u_j| strictly increases with j, so
     these checks pass exactly when c_n fits, while the other parity is
-    off by the factor sqrt(d) (u_91(sqrt(5)) fits although c_90 = u_90
-    does not). Nothing else is held to 64 bits. Every exact call takes
-    bounded time: an r with r**2 <= 3 first reduces n modulo the period
-    of the sequence, r = +-2 gives (+-1)**n (n + 1) directly, and a wider
-    r overflows 64 bits within about 90 steps.
+    off by the factor sqrt(d) (u_567(sqrt(7)) fits although c_566 = u_566
+    does not). Nothing else is held to errors.WIDTH_BITS. Every exact
+    call takes bounded time: an r with r**2 <= 3 first reduces n modulo
+    the period of the sequence, r = +-2 gives (+-1)**n (n + 1) directly,
+    and a wider r leaves the width within about 920 steps: the largest n
+    that answers is 921 for sqrt(5), 460 for 3 and 387 for 2 sqrt(3).
 
     A float r is evaluated in closed form with the angle theta of |r|
     (_angle): sin((n + 1) theta) / sin(theta) for |r| < 2 and
@@ -427,7 +430,7 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
     included, is a TypeError.
     """
     if ensure_int(n, "chebyshev_u index") < -2:
-        raise DomainError(f"chebyshev_u requires n >= -2, got {n}")
+        raise DomainError(f"chebyshev_u requires n >= -2, got {_int_repr(n)}")
     if isinstance(r, Surd):
         square = r.square()
         if square in _CHEBYSHEV_PERIODS:
@@ -450,14 +453,15 @@ def chebyshev_u(n: int, r: Union[Surd, float]):
             value = abs(float(r))
         elif abs(r) < 2:
             if n + 1 > 2**40 / theta:  # an exact comparison: no n converts to float first
-                raise OverflowLimitError(f"u_{n}({r}) is past float precision: its phase passes 2**40")
+                shown = f"u_{_int_repr(n)}({r})"
+                raise OverflowLimitError(f"{shown} is past float precision: its phase passes 2**40")
             return sign * math.sin((n + 1) * theta) / math.sin(theta)
         else:
             value = math.exp(n * theta) * math.expm1(-2 * (n + 1) * theta) / math.expm1(-2 * theta)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise OverflowLimitError(f"u_{n}({r}) overflows the float range")
+        raise OverflowLimitError(f"u_{_int_repr(n)}({r}) overflows the float range")
     return sign * value
 
 
@@ -465,12 +469,13 @@ def one_two_orbit(s: TripleS, n: int) -> list[TripleS]:
     """The iterates of alternating gamma_1, gamma_2 starting from s.
 
     Returns [s, gamma_1(s), gamma_2 gamma_1 (s), ...] with n applications
-    of gamma_s, which holds only the entries to 64 bits. The k-th iterate
-    is (f_{k-1}, f_k, r) for k even and (f_k, f_{k-1}, r) for k odd, where
-    f_{-1} = p, f_0 = q and f_{k+1} = r f_k - f_{k-1}.
+    of gamma_s, which holds only the entries to errors.WIDTH_BITS; n must
+    be an int (ensure_int). The k-th iterate is (f_{k-1}, f_k, r) for k
+    even and (f_k, f_{k-1}, r) for k odd, where f_{-1} = p, f_0 = q and
+    f_{k+1} = r f_k - f_{k-1}.
     """
-    if n < 0:
-        raise DomainError(f"one_two_orbit requires n >= 0, got {n}")
+    if ensure_int(n, "n") < 0:
+        raise DomainError(f"one_two_orbit requires n >= 0, got {_int_repr(n)}")
     out = [s]
     for k in range(1, n + 1):
         out.append(gamma_s(out[-1], 2 - k % 2))
@@ -498,8 +503,8 @@ def find_negative_in_12_orbit(s: TripleS) -> tuple[int, Union[Surd, float]]:
     An exact triple has r**2 in {1, 2, 3}, so theta is pi/3, pi/4 or pi/6
     and the answer comes by step floor(pi / theta) <= 6. It walks the
     1,2-orbit as one_two_orbit does, by gamma_s, whose width check raises
-    OverflowLimitError for an f_n past 64 bits. Returns n and f_n, a Surd
-    or a float.
+    OverflowLimitError for an f_n past errors.WIDTH_BITS. Returns n and
+    f_n, a Surd or a float.
     """
     if not s.is_positive():
         raise DomainError("find_negative_in_12_orbit requires a positive triple")

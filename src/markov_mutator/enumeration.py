@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, ResourceError, ensure_budget
+from .errors import DomainError, ResourceError, _int_repr, ensure_budget, ensure_int
 from .matrices import TripleS, _directions, _exact_triple, markov_c_s
 from .surd import _canonical
 from .value import Value
@@ -56,10 +56,11 @@ ENUMERATION_CAP = 10**5
 
 def _root_triple(*squares: int) -> TripleS:
     """The exact triple of the square roots of integer squares, each split once;
-    matrices._exact_triple checks the 64-bit widths and that pqr is an integer."""
+    matrices._exact_triple checks the widths, errors.WIDTH_BITS for a coefficient
+    and signed 64 bits for a radicand, and that pqr is an integer."""
     for v in squares:
         if v < 0:
-            raise DomainError(f"cannot take a real square root of {v}")
+            raise DomainError(f"cannot take a real square root of {_int_repr(v)}")
     return _exact_triple(_canonical(1, v) for v in squares)
 
 
@@ -141,14 +142,16 @@ def enumerate_m1(c_target: int, p_square_cap: int | None = None) -> list[M1Repre
     of the module docstring yields at most one candidate, the smaller
     Vieta root; the cost grows as about |c_target|^(4/3). A c_target below
     -ENUMERATION_CAP, or a p_square_cap above it for c_target = 4, raises
-    ResourceError, and a negative p_square_cap raises DomainError.
+    ResourceError, and a negative p_square_cap raises DomainError. Both
+    must be ints (errors.ensure_int).
     """
     if p_square_cap is not None:
         ensure_budget(p_square_cap, "p_square_cap")
-    if c_target > 4:
-        raise DomainError(f"no descent-minimal triples exist with constant {c_target} > 4")
+    if ensure_int(c_target, "c_target") > 4:
+        raise DomainError(f"no descent-minimal triples exist with constant {_int_repr(c_target)} > 4")
     if c_target < -ENUMERATION_CAP:
-        raise ResourceError(f"constant {c_target} is below -ENUMERATION_CAP = {-ENUMERATION_CAP}")
+        shown = _int_repr(c_target)
+        raise ResourceError(f"constant {shown} is below -ENUMERATION_CAP = {-ENUMERATION_CAP}")
     if c_target == 4:
         if p_square_cap is None:
             raise DomainError(
@@ -156,7 +159,7 @@ def enumerate_m1(c_target: int, p_square_cap: int | None = None) -> list[M1Repre
             )
         if p_square_cap > ENUMERATION_CAP:
             raise ResourceError(
-                f"p_square_cap {p_square_cap} exceeds ENUMERATION_CAP = {ENUMERATION_CAP}"
+                f"p_square_cap {_int_repr(p_square_cap)} exceeds ENUMERATION_CAP = {ENUMERATION_CAP}"
             )
         squares = [(a, a, 4) for a in range(4, p_square_cap + 1)]
     else:
@@ -169,8 +172,8 @@ def surjectivity_witness(n: int) -> TripleS:
 
     Valid for every integer n <= 4, giving one descent-bounded triple
     per attainable constant: p^2 + q^2 + r^2 - pqr
-    = 5(5-n) + 4(5-n) + 5 - 10(5-n) = n.
+    = 5(5-n) + 4(5-n) + 5 - 10(5-n) = n. n must be an int (errors.ensure_int).
     """
-    if n > 4:
-        raise DomainError(f"no cluster-positive triple has constant {n} > 4")
+    if ensure_int(n, "n") > 4:
+        raise DomainError(f"no cluster-positive triple has constant {_int_repr(n)} > 4")
     return _root_triple(5 * (5 - n), 4 * (5 - n), 5)

@@ -1,4 +1,4 @@
-"""Error hierarchy and the checked 64-bit storage bound.
+"""Error hierarchy and the one width rule for exact values.
 
 Every failure the package raises on purpose is a MarkovMutatorError, and
 each is one of two kinds. A DomainError means the input was malformed or
@@ -11,14 +11,23 @@ shows as one. DomainError is also a ValueError, so code that catches
 ValueError around a parse keeps working; a value of the wrong Python type
 stays a TypeError.
 
+A surd coefficient or matrix entry v is stored when -2**WIDTH_BITS < v <
+2**WIDTH_BITS; a radicand stays within signed 64 bits (INT64_MAX), as
+splitting one is factoring it. WIDTH_BITS = 640 is worked
+out, not tuned: three stored values multiplied, times a 64-bit radicand
+part, take at most 3 * 640 + 128 bits, under 640 decimal digits, the
+lowest limit sys.set_int_max_str_digits allows, so every value the
+package prints converts under every configuration; and 2**640 * 2**32 is
+below the float range, so float() of a Surd stays finite.
+
 The module-level helpers state three input rules once each, and the
 other modules call them: ensure_int refuses a value whose type is not int
-itself (a bool or a float is no integer field), ensure_int64 holds a
-stored value to signed 64 bits, and ensure_budget refuses a negative
-budget the caller passes (a descent cap, a search depth, an entry bound,
-a cap on p^2) as a domain error. Their error texts show a value wider
-than 14000 bits by its bit length (_int_repr), as int's string
-conversion may refuse its digits.
+itself (a bool or a float is no integer field), ensure_width holds a
+stored value to the width, and ensure_budget refuses an integer budget
+the caller passes (a descent cap, a search depth, an entry bound, a cap
+on p^2) that is negative as a domain error. Every int an error text
+shows goes through _int_repr, which writes one past WIDTH_BITS by its bit
+length, as int's string conversion may refuse its digits.
 """
 
 from __future__ import annotations
@@ -35,10 +44,14 @@ __all__ = [
     "RadicandMismatch",
     "ResourceError",
     "SignMismatch",
+    "WIDTH_BITS",
 ]
 
-INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
+WIDTH_BITS = 640
+# The open range of a stored coefficient or matrix entry, as module constants so
+# that each check is one chained comparison.
+_WIDTH_LOW, _WIDTH_HIGH = -(1 << WIDTH_BITS), 1 << WIDTH_BITS
 
 
 class MarkovMutatorError(Exception):
@@ -80,7 +93,8 @@ class NotInShat(DomainError):
 class OverflowLimitError(ResourceError):
     """A value left the range it is held in.
 
-    An exact value past signed 64 bits, a float past the float range, or
+    An exact value past the width (WIDTH_BITS, or 64 bits for a radicand),
+    a float past the float range, or
     a float chebyshev_u whose phase is past the precision that keeps its
     digits. Results are never silently wrapped; arithmetic is exact up to
     the point of storage and the offending value is reported.
@@ -95,11 +109,11 @@ class IterationCapExceeded(ResourceError):
         self.last = last
 
 
-def _int_repr(value: int) -> str:
-    """repr(value), or '<N-bit int>' past 14000 bits, about 4215 digits: int's string
-    conversion refuses more digits than sys.get_int_max_str_digits(), 4300 by default."""
-    n = value.bit_length()
-    return repr(value) if n <= 14000 else f"<{n}-bit int>"
+def _int_repr(value: object) -> str:
+    """repr(value), or '<N-bit int>' for an int past WIDTH_BITS bits: int's string
+    conversion refuses more digits than sys.get_int_max_str_digits(), at least 640."""
+    n = value.bit_length() if isinstance(value, int) else 0
+    return repr(value) if n <= WIDTH_BITS else f"<{n}-bit int>"
 
 
 def ensure_int(value: int, what: str) -> int:
@@ -109,13 +123,14 @@ def ensure_int(value: int, what: str) -> int:
     return value
 
 
-def ensure_int64(value: int, context: str) -> None:
-    """Raise OverflowLimitError naming context unless value fits in signed 64 bits."""
-    if value < INT64_MIN or value > INT64_MAX:
-        raise OverflowLimitError(f"{context} {_int_repr(value)} exceeds the signed 64-bit range")
+def ensure_width(value: int, what: str) -> None:
+    """Raise OverflowLimitError naming what unless -2**WIDTH_BITS < value < 2**WIDTH_BITS."""
+    if not _WIDTH_LOW < value < _WIDTH_HIGH:
+        raise OverflowLimitError(f"{what} {_int_repr(value)} exceeds the {WIDTH_BITS}-bit width")
 
 
 def ensure_budget(value: int, name: str) -> None:
-    """Raise DomainError naming the budget unless value is non-negative."""
-    if value < 0:
+    """Raise TypeError unless value is an int (ensure_int), DomainError naming the budget
+    unless it is non-negative."""
+    if ensure_int(value, name) < 0:
         raise DomainError(f"{name} must be non-negative, got {_int_repr(value)}")

@@ -29,10 +29,11 @@ a Surd when read. A float triple stores its floats in ks, None in ds and
 their product in pqr. The direction test (_directions) reads this stored
 layout of either backend, and gamma_s is the one gamma step on triples.
 _exact_triple is the checked way in for (k, d) pairs: it checks the
-64-bit widths of the entries, takes pqr from one isqrt of the radicands'
-product and raises NotInShat when pqr is not an integer. TripleS.parse
-feeds it from one match of the whole text (_TRIPLE_RE), and a text that
-does not match is read again entry by entry only to raise its error.
+widths of the entries (surd._check_widths), takes pqr from one isqrt of
+the radicands' product and raises NotInShat when pqr is not an integer.
+TripleS.parse feeds it from one match of the whole text (_TRIPLE_RE), and
+a text that does not match is read again entry by entry only to raise
+its error.
 _triple stores entries that are valid by construction as given, and
 _path does the same for words; both set the slots by their member
 descriptors. Every product of two exact values is surd._product on their
@@ -48,8 +49,8 @@ from operator import attrgetter
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence, Union
 
 from .errors import (
-    INT64_MAX,
-    INT64_MIN,
+    _WIDTH_HIGH,
+    _WIDTH_LOW,
     DomainError,
     NotInShat,
     OverflowLimitError,
@@ -57,7 +58,7 @@ from .errors import (
     SignMismatch,
     _int_repr,
     ensure_int,
-    ensure_int64,
+    ensure_width,
 )
 from .surd import (
     _ENTRY, _INT_TOKEN, Surd, _canonical, _check_widths, _entry_kd, _parse_kd, _product,
@@ -98,7 +99,7 @@ def _sgn(a) -> int:
 
 
 class MatM(Value):
-    """Validated six-tuple (x, y, z, x', y', z') with 64-bit entries."""
+    """Validated six-tuple (x, y, z, x', y', z'), each entry within errors.WIDTH_BITS."""
 
     __slots__ = ("x", "y", "z", "xp", "yp", "zp")
     x: int
@@ -111,9 +112,9 @@ class MatM(Value):
     def __init__(self, x: int, y: int, z: int, xp: int, yp: int, zp: int) -> None:
         # the checks that raise, and the texts that name the entry, run only on a failure
         for name, e in zip(_ENTRY_NAMES, (x, y, z, xp, yp, zp)):
-            if type(e) is not int or not INT64_MIN <= e <= INT64_MAX:
+            if type(e) is not int or not _WIDTH_LOW < e < _WIDTH_HIGH:
                 ensure_int(e, f"entry {name}")
-                ensure_int64(e, f"matrix entry {name}")
+                ensure_width(e, f"matrix entry {name}")
         if x * y * z != xp * yp * zp:
             raise ProductMismatch(f"xyz = {x * y * z} but x'y'z' = {xp * yp * zp}")
         for name, a, b in (("x", x, xp), ("y", y, yp), ("z", z, zp)):
@@ -143,9 +144,8 @@ class MatM(Value):
         for r in rows:
             row = []
             for e in r:
-                if isinstance(e, bool) or not isinstance(e, (int, float)):
-                    raise DomainError(f"matrix entries must be integers, got {e!r}")
-                if isinstance(e, float) and not e.is_integer():
+                integral = isinstance(e, float) and e.is_integer()
+                if isinstance(e, bool) or not (isinstance(e, int) or integral):
                     raise DomainError(f"matrix entries must be integers, got {e!r}")
                 row.append(int(e))
             b.append(row)
@@ -184,13 +184,13 @@ class MatM(Value):
 def _exact_triple(pairs: Iterable[tuple[int, int]]) -> TripleS:
     """The exact triple whose entries are k * sqrt(d) for three (k, d) pairs.
 
-    Every d is squarefree, and 1 where k is 0. The 64-bit widths of each
-    pair are checked before the next pair is read, so a lazily parsed
-    entry fails in order. As the radicands are squarefree, pqr is an
-    integer exactly when d0 d1 d2 is a square, and then it is
-    k0 k1 k2 isqrt(d0 d1 d2), held in plain integers and not to 64 bits; a
-    pqr that is not an integer raises NotInShat, whose text folds the
-    entries by surd._product.
+    Every d is squarefree, and 1 where k is 0. The widths of each pair
+    are checked before the next pair is read, so a lazily parsed entry
+    fails in order. As the radicands are squarefree, pqr is an integer
+    exactly when d0 d1 d2 is a square, and then it is
+    k0 k1 k2 isqrt(d0 d1 d2), held in plain integers and not to the
+    width; a pqr that is not an integer raises NotInShat, whose text folds
+    the entries by surd._product.
     """
     ks, ds = [], []
     for k, d in pairs:
@@ -268,7 +268,7 @@ class TripleS(Value):
 
     An exact triple stores ks, its three signed integer coefficients, ds,
     their squarefree radicands (1 for a zero entry), and pqr, the product
-    as an unbounded int; the entries alone are held to 64 bits. It has
+    as an unbounded int; the entries alone are held to the width. It has
     integer entry squares by construction and an integer pqr, which
     construction checks. A float triple stores its three finite floats in
     ks, None in ds and their product in pqr; the backend is read off ds.
@@ -352,7 +352,7 @@ class MutationPath(Value):
         indices = tuple(indices)
         for i in indices:
             if ensure_int(i, "path index") not in (1, 2, 3):
-                raise DomainError(f"path index {i} is not in {{1, 2, 3}}")
+                raise DomainError(f"path index {_int_repr(i)} is not in {{1, 2, 3}}")
         for a, b in zip(indices, indices[1:]):
             if a == b:
                 raise DomainError(f"path {indices} repeats index {a} consecutively")
@@ -412,7 +412,7 @@ def mutate_tuple(t: SixTuple, k: int) -> SixTuple:
             -yp,
             zp - y * _pos(x) - _pos(-y) * x,
         )
-    raise DomainError(f"mutation index must be 1, 2 or 3, got {k}")
+    raise DomainError(f"mutation index must be 1, 2 or 3, got {_int_repr(k)}")
 
 
 def gamma_tuple(t: SixTuple, k: int) -> SixTuple:
@@ -424,7 +424,7 @@ def gamma_tuple(t: SixTuple, k: int) -> SixTuple:
         return (x, zp * xp - y, z, xp, z * x - yp, zp)
     if k == 3:
         return (x, y, xp * yp - z, xp, yp, x * y - zp)
-    raise DomainError(f"gamma index must be 1, 2 or 3, got {k}")
+    raise DomainError(f"gamma index must be 1, 2 or 3, got {_int_repr(k)}")
 
 
 # -- the direction test on the stored triple layout --------------------
@@ -485,13 +485,13 @@ def gamma_s(s: TripleS, k: int) -> TripleS:
     the product of the others t / (c sqrt(d)) = (t // (c d)) sqrt(d), an
     exact division, so it becomes (t // (c d) - c) sqrt(d), and the new pqr
     is the product of the other two squares minus t; a new coefficient past
-    64 bits raises the width check's OverflowLimitError. An exact zero entry
+    the width raises the width check's OverflowLimitError. An exact zero entry
     becomes the product of the other two by surd._product, and the triple
     is rebuilt by _exact_triple, whose width check also covers the new
     radicand.
     """
     if k not in (1, 2, 3):
-        raise DomainError(f"gamma index must be 1, 2 or 3, got {k}")
+        raise DomainError(f"gamma index must be 1, 2 or 3, got {_int_repr(k)}")
     i = k - 1
     ks, ds, t = list(s.ks), s.ds, s.pqr
     c = ks[i]
@@ -502,7 +502,7 @@ def gamma_s(s: TripleS, k: int) -> TripleS:
         return _triple(tuple(ks), None, ks[0] * ks[1] * ks[2])
     if c:
         ks[i] = t // (c * ds[i]) - c
-        _check_widths(ks[i], ds[i])  # a climb can leave 64 bits
+        _check_widths(ks[i], ds[i])  # a climb can leave the width
         a, b = ks[i - 2], ks[i - 1]
         return _triple(tuple(ks), ds, a * a * ds[i - 2] * b * b * ds[i - 1] - t)
     pairs = list(zip(ks, ds))
@@ -515,7 +515,7 @@ def sk(m: MatM) -> TripleS:
 
     sqrt(aa') is taken as sqrt(|a|) * sqrt(|a'|), each root split on its
     own and the two multiplied by surd._product, so square roots are only
-    split from 64-bit entries, never from their product. _exact_triple
+    split from the entries, never from their product. _exact_triple
     checks the widths of the products, column by column.
     """
     return _exact_triple(
@@ -568,9 +568,10 @@ def permute(m: Union[MatM, TripleS], sigma: Sequence[int]):
     matrix's two tuple rows."""
     sig = tuple(sigma)
     if not all(type(i) is int for i in sig):
-        raise TypeError(f"sigma must hold integers, got {sigma!r}")
+        raise TypeError(f"sigma must hold integers, got ({', '.join(map(_int_repr, sig))})")
     if sig not in _PERMS:
-        raise DomainError(f"sigma must be a permutation of (1, 2, 3), got {sigma!r}")
+        shown = ", ".join(map(_int_repr, sig))
+        raise DomainError(f"sigma must be a permutation of (1, 2, 3), got ({shown})")
     if isinstance(m, MatM):
         cols = m.columns()
         picked = [cols[i - 1] for i in sig]

@@ -16,7 +16,7 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 from .errors import (
-    INT64_MAX,
+    _WIDTH_HIGH,
     DomainError,
     NotClusterCyclic,
     NotInShat,
@@ -135,10 +135,11 @@ def _bfs(
     """Shared no-backtrack BFS over words in gamma or mu.
 
     step(tuple, k) produces the next tuple; branches whose entries leave
-    [-entry_bound, entry_bound] are pruned and counted. If stop_when is
-    given, the search returns early with (word, tuple) on the first hit.
+    [-entry_bound, entry_bound], or the width of a MatM entry, are pruned
+    and counted. If stop_when is given, the search returns early with
+    (word, tuple) on the first hit.
     """
-    bound = min(entry_bound, INT64_MAX)
+    bound = min(entry_bound, _WIDTH_HIGH - 1)
     visited = {start}
     queue = deque([(start, 0, ())])  # tuple, last index, word
     pruned = 0
@@ -175,8 +176,9 @@ def orbit_bfs(
 
     Words never repeat an index consecutively (each gamma_k is an
     involution). Branches that would exceed entry_bound in absolute
-    value are pruned and reported in the result. A negative depth or
-    entry_bound is a DomainError.
+    value, or the width of a MatM entry, are pruned and reported in the
+    result. A depth or entry_bound that is not an int is a TypeError, a
+    negative one a DomainError.
     """
     ensure_budget(depth, "depth")
     ensure_budget(entry_bound, "entry_bound")
@@ -196,8 +198,9 @@ def mu_orbit_search_acyclic(
 
     Returns the first acyclic matrix found together with the word that
     reaches it (the input itself counts, with the empty word), or None
-    if every image within the depth and entry bound is cyclic. A negative
-    depth or entry_bound is a DomainError.
+    if every image within the depth and entry bound is cyclic. A depth or
+    entry_bound that is not an int is a TypeError, a negative one a
+    DomainError.
     """
     ensure_budget(depth, "depth")
     ensure_budget(entry_bound, "entry_bound")

@@ -16,7 +16,8 @@ pattern. Neither pattern has two repeats that can claim one character,
 so a failing match takes time linear in the text. Every numeral of the
 text grammars is read by _read_int. A (k, d) pair stored without a Surd
 is checked by _check_widths, and a value derived inside the package goes
-through _surd: both check only the 64-bit widths.
+through _surd: both check only the widths, errors.WIDTH_BITS for k and
+signed 64 bits for d.
 
 The split trial-divides by every f < 1000 while f**3 stays within the
 unfactored rest, which settles every radicand up to 10**9. A rest still
@@ -46,14 +47,17 @@ import re
 from typing import Any
 
 from .errors import (
+    _WIDTH_HIGH,
+    _WIDTH_LOW,
     INT64_MAX,
-    INT64_MIN,
+    WIDTH_BITS,
     DomainError,
     IterationCapExceeded,
     OverflowLimitError,
     RadicandMismatch,
+    _int_repr,
     ensure_int,
-    ensure_int64,
+    ensure_width,
 )
 from .value import Value
 
@@ -71,6 +75,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # 2.5 s on a 2-core VM.
 RHO_BUDGET = 1 << 22
 _RHO_BATCH = 128
+# What a radicand, or a part of one, past INT64_MAX is refused for.
+_RADICAND_RANGE = "exceeds the signed 64-bit range"
 
 
 def _squarefree_split(m: int) -> tuple[int, int]:
@@ -112,8 +118,8 @@ def _prime_factors(n: int) -> dict[int, int]:
     _is_probable_prime and any other part is split by _rho_factor, all
     of whose calls share one RHO_BUDGET.
     """
-    if n > INT64_MAX**3:  # wider than k**2 * d of any surd: fail the width check
-        ensure_int64(n, "radicand part")
+    if n > INT64_MAX**3:  # refused before rho, whose steps slow as n widens
+        raise OverflowLimitError(f"radicand part {_int_repr(n)} {_RADICAND_RANGE}")
     found: dict[int, int] = {}
     budget = RHO_BUDGET
     parts = [n]
@@ -135,8 +141,8 @@ def _is_probable_prime(n: int) -> bool:
 
     Exact below 3.2 * 10**23. Above that a composite passing every base
     would be kept whole as a prime; such a part is wider than 64 bits, so
-    the Surd built from it fails its width check rather than taking a
-    wrong radicand.
+    the Surd built from it fails the radicand's width check rather than
+    taking a wrong radicand.
     """
     d, s = n - 1, 0
     while not d & 1:
@@ -198,11 +204,11 @@ def _rho_factor(n: int, budget: int) -> tuple[int, int]:
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")  # int() alone also reads "1_0" and non-ASCII digits
 
 
-def _read_int(numeral: str, what: str) -> int:
+def _read_int(numeral: str, what: str, past: str = f"exceeds the {WIDTH_BITS}-bit width") -> int:
     """The value of a numeral of _INT_TOKEN. int() refuses more digits than
     sys.get_int_max_str_digits(), at least 640, leading zeros included, so such a
-    numeral is read again without them; one still that long is past 64 bits and
-    raises OverflowLimitError naming what and its digit count."""
+    numeral is read again without them; one still that long is past the width, and
+    past 64 bits, and raises OverflowLimitError naming what, its digit count and past."""
     try:
         return int(numeral)
     except ValueError:
@@ -210,8 +216,7 @@ def _read_int(numeral: str, what: str) -> int:
     try:
         return -int(digits) if numeral[0] == "-" else int(digits)
     except ValueError:
-        message = f"{what} of {len(digits)} digits exceeds the signed 64-bit range"
-        raise OverflowLimitError(message) from None
+        raise OverflowLimitError(f"{what} of {len(digits)} digits {past}") from None
 
 
 # One surd entry with no whitespace around it: a signed numeral, a numeral times
@@ -224,17 +229,17 @@ _SURD_RE = re.compile(rf"\s*{_ENTRY}\s*", re.ASCII)
 
 
 def _check_widths(k: int, d: int) -> None:
-    """Raise OverflowLimitError unless |k| and d both fit in signed 64 bits."""
-    if not -INT64_MAX <= k <= INT64_MAX:
-        ensure_int64(abs(k), "surd coefficient")
-    if not INT64_MIN <= d <= INT64_MAX:
-        ensure_int64(d, "surd radicand")
+    """Raise OverflowLimitError unless k is within the width and d >= 1 is at most INT64_MAX."""
+    if not _WIDTH_LOW < k < _WIDTH_HIGH:
+        ensure_width(k, "surd coefficient")
+    if d > INT64_MAX:
+        raise OverflowLimitError(f"surd radicand {_int_repr(d)} {_RADICAND_RANGE}")
 
 
 def _surd(k: int, d: int) -> Surd:
     """k * sqrt(d) for a d the package already knows is squarefree.
 
-    Only the 64-bit widths of |k| and d are checked; zero becomes (0, 1).
+    Only the widths of k and d are checked (_check_widths); zero becomes (0, 1).
     """
     if not k:
         d = 1
@@ -268,7 +273,7 @@ def _entry_kd(sign, coeff, rad1, rad2) -> tuple[int, int]:
     if sign == "-":
         k = -k
     rad = rad1 or rad2
-    return _canonical(k, _read_int(rad, "surd radicand")) if rad else (k, 1)
+    return _canonical(k, _read_int(rad, "surd radicand", _RADICAND_RANGE)) if rad else (k, 1)
 
 
 def _parse_kd(text: str) -> tuple[int, int]:
@@ -329,7 +334,7 @@ class Surd(Value):
         if k == 0 and radicand != 1:
             raise DomainError("the canonical zero is (0, 1)")
         if radicand <= 0:
-            raise DomainError(f"radicand must be positive, got {radicand!r}")
+            raise DomainError(f"radicand must be positive, got {_int_repr(radicand)}")
         _check_widths(k, radicand)
         if _squarefree_split(radicand)[1] != radicand:
             raise DomainError(f"radicand {radicand} is not squarefree")
@@ -442,5 +447,5 @@ _set_k, _set_radicand = Surd.k.__set__, Surd.radicand.__set__
 def surd_from_integer_square(m: int) -> Surd:
     """The canonical Surd equal to +sqrt(m), for m >= 0."""
     if m < 0:
-        raise DomainError(f"cannot take a real square root of {m}")
+        raise DomainError(f"cannot take a real square root of {_int_repr(m)}")
     return Surd.make(1, m)

@@ -33,6 +33,7 @@ from markov_mutator.errors import (
     DomainError,
     IterationCapExceeded,
     OverflowLimitError,
+    WIDTH_BITS,
 )
 from markov_mutator.matrices import (
     CyclicityClass,
@@ -813,8 +814,21 @@ def test_chebyshev_large_index_is_bounded():
     assert chebyshev_u(10**9, Surd.from_int(1)) == Surd.from_int(-1)  # period 6
     assert chebyshev_u(10**9, Surd.make(-1, 3)) == Surd.from_int(1)  # period 12, u_4
     assert chebyshev_u(10**9, Surd.from_int(-2)) == Surd.from_int(10**9 + 1)
-    with pytest.raises(OverflowLimitError):
-        chebyshev_u(2**63, Surd.from_int(2))
+    # r = 2 gives n + 1 at once, held to the width like any value
+    edge = 1 << WIDTH_BITS
+    assert chebyshev_u(edge - 2, Surd.from_int(2)) == Surd.from_int(edge - 1)
+    with pytest.raises(OverflowLimitError, match="<641-bit int> exceeds the 640-bit width"):
+        chebyshev_u(edge - 1, Surd.from_int(2))
+    # a wider r leaves the width within about 920 steps, however large n is; the largest n
+    # that answers is 921 for sqrt(5), the narrowest such r, 460 for 3 and 387 for 2 sqrt(3)
+    for n, text in [(921, "sqrt(5)"), (460, "3"), (387, "2*sqrt(3)")]:
+        r = Surd.parse(text)
+        a, b = field_u(n, r.k, r.radicand)
+        assert chebyshev_u(n, r) == Surd.make(a + b, r.radicand if b else 1)
+        with pytest.raises(OverflowLimitError, match="-bit int> exceeds the 640-bit width"):
+            chebyshev_u(n + 1, r)
+    with pytest.raises(OverflowLimitError, match="<641-bit int> exceeds the 640-bit width"):
+        chebyshev_u(10**18, Surd.parse("sqrt(5)"))
     # a float r below 2 answers in closed form while the phase (n + 1) theta is below 2**40,
     # where u_error reaches 2**-10; past it, or past the float range, it refuses
     want, envelope, theta = oracle_u(10**9, 1.5)
@@ -859,22 +873,25 @@ def field_u(n, k, d):
     return prev
 
 
-@settings(max_examples=500, deadline=200)  # ms; a call takes at most 123 integer steps
+@settings(max_examples=500, deadline=200)  # ms; a call takes at most 923 integer steps
 @given(
     st.integers(-50, 50),
     st.sampled_from([d for d in range(1, 31) if all(d % (f * f) for f in (2, 3, 5))]),
-    st.integers(-2, 120),
+    st.integers(-2, 300),
 )
-@example(2, 3, 38)
-@example(1, 5, 91)
-@example(-1, 5, 92)
+@example(2, 3, 387)
+@example(-2, 3, 388)
+@example(3, 1, 460)
+@example(3, 1, 461)
+@example(1, 5, 921)
+@example(-1, 5, 922)
 def test_exact_chebyshev_matches_an_integer_oracle(k, d, n):
-    # each u_n that fits in 64 bits is returned, and each that does not raises
+    # each u_n whose coefficient fits in the width is returned, and each that does not raises
     a, b = field_u(n, k, d)
     assert a == 0 or b == 0  # even indices are integers, odd ones multiples of sqrt(d)
     r = Surd.make(k, d)
-    if abs(a + b) > 2**63 - 1:
-        with pytest.raises(OverflowLimitError, match="exceeds the signed 64-bit range"):
+    if abs(a + b) >= 1 << WIDTH_BITS:
+        with pytest.raises(OverflowLimitError, match="-bit int> exceeds the 640-bit width"):
             chebyshev_u(n, r)
     else:
         assert chebyshev_u(n, r) == Surd.make(a + b, d if b else 1)
@@ -893,10 +910,26 @@ def test_exact_chebyshev_matches_an_integer_oracle(k, d, n):
     ],
 )
 def test_exact_chebyshev_holds_only_the_value_to_64_bits(n, r, expected):
-    # r u_{n-1} leaves 64 bits on the way to these values, which fit
-    assert str(chebyshev_u(n, Surd.parse(r))) == expected
-    with pytest.raises(OverflowLimitError, match="exceeds the signed 64-bit range"):
-        chebyshev_u(n + 1, Surd.parse(r))
+    # r u_{n-1} leaves 64 bits on the way to these values, which fit: only the value is
+    # stored, and held to the width (next test), so each and the next are exact
+    s = Surd.parse(r)
+    assert str(chebyshev_u(n, s)) == expected
+    a, b = field_u(n + 1, s.k, s.radicand)
+    assert chebyshev_u(n + 1, s) == Surd.make(a + b, s.radicand if b else 1)
+
+
+@pytest.mark.parametrize(
+    "n, r", [(567, "sqrt(7)"), (567, "-sqrt(7)"), (406, "sqrt(11)"), (273, "2*sqrt(7)"),
+             (225, "-3*sqrt(6)")],
+)
+def test_exact_chebyshev_holds_only_the_value_to_the_width(n, r):
+    # u_n fits in the width although r u_{n-1} does not; for sqrt(7), u_566 = c_566 is past
+    # it too, as only the terms of the parity of n are checked
+    s = Surd.parse(r)
+    a, b = field_u(n, s.k, s.radicand)
+    assert chebyshev_u(n, s) == Surd.make(a + b, s.radicand if b else 1)
+    a, b = field_u(n - 1, s.k, s.radicand)
+    assert abs(s.k * (b * s.radicand or a)) >= 1 << WIDTH_BITS  # the coefficient of r u_{n-1}
 
 
 # -- alternating 1,2-orbit ---------------------------------------------
@@ -986,13 +1019,13 @@ def test_find_negative_examples():
 
 
 def test_find_negative_checks_the_width_of_each_entry_it_writes():
-    # r q = 9223372036854775810 passes 64 bits on the way to f_1 = 2**62 + 2; then
+    # r q = 2**640 + 2 passes the width on the way to f_1 = 2**639 + 2; then
     # f_2 = sqrt(2), and f_3 = 2 - f_1 is the first negative value
-    s = TripleS.parse("4611686018427387904, 4611686018427387905*sqrt(2), sqrt(2)")
-    assert find_negative_in_12_orbit(s) == (3, Surd.from_int(-4611686018427387904))
-    # f_1 = r q - p = 3 * 2**62 - 1 is itself past 64 bits
-    with pytest.raises(OverflowLimitError, match="exceeds the signed 64-bit range"):
-        find_negative_in_12_orbit(TripleS.parse("1, 4611686018427387904*sqrt(3), sqrt(3)"))
+    s = TripleS.parse(f"{2**639}, {2**639 + 1}*sqrt(2), sqrt(2)")
+    assert find_negative_in_12_orbit(s) == (3, Surd.from_int(-(2**639)))
+    # f_1 = r q - p = 3 * 2**639 - 1 is itself past the width
+    with pytest.raises(OverflowLimitError, match="<641-bit int> exceeds the 640-bit width"):
+        find_negative_in_12_orbit(TripleS.parse(f"1, {2**639}*sqrt(3), sqrt(3)"))
 
 
 @pytest.mark.parametrize(

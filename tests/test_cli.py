@@ -455,37 +455,47 @@ def test_chebyshev_negative_index_seed(capsys):
 
 
 def test_chebyshev_overflow_is_resource_error(capsys):
-    code, out, err = invoke(capsys, "chebyshev", "200", "3")
+    code, out, err = invoke(capsys, "chebyshev", "461", "3")
     assert code == 2
     assert err.startswith("error:")
 
 
+def chebyshev_coefficients(n, k, d):
+    """The integers c_{n-1} and c_n with u_j(k sqrt(d)) = c_j sqrt(d) for odd j, c_j for even j."""
+    prev, cur = -1, 0  # c_{-2} and c_{-1}
+    for j in range(n + 1):
+        prev, cur = cur, (k if j % 2 else k * d) * cur - prev
+    return prev, cur
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
 def test_chebyshev_value_fits_where_the_surd_product_does_not(capsys, fmt):
-    # u_38(2 sqrt(3)) fits in 64 bits; r u_37 = 10098658586648453988 does not
-    code, out, err = invoke(capsys, "chebyshev", "38", "2*sqrt(3)", *fmt)
+    # u_273(2 sqrt(7)) = c sqrt(7) fits in the width; r u_272 = 2 c_272 sqrt(7) does not
+    before, c = chebyshev_coefficients(273, 2, 7)
+    assert abs(2 * before) >= 1 << 640 > abs(c)
+    code, out, err = invoke(capsys, "chebyshev", "273", "2*sqrt(7)", *fmt)
     assert (code, err) == (0, "")
     if fmt:
         assert json.loads(out) == {
-            "n": 38,
-            "r": "2*sqrt(3)",
-            "u": {"sign": 1, "coeff": 9172089397301669399, "radicand": 1},
-            "text": "9172089397301669399",
+            "n": 273,
+            "r": "2*sqrt(7)",
+            "u": {"sign": 1, "coeff": c, "radicand": 7},
+            "text": f"{c}*sqrt(7)",
         }
     else:
-        assert out == "9172089397301669399\n"
-    # an overflow names the first u_j of the parity of n past 64 bits, here u_46(3)
-    assert invoke(capsys, "chebyshev", "200", "3", *fmt) == (
-        2, "", "error: surd coefficient 19740274219868223167 exceeds the signed 64-bit range\n"
+        assert out == f"{c}*sqrt(7)\n"
+    # an overflow names the first u_j of the parity of n past the width, here u_462(3),
+    # by its bit length
+    assert invoke(capsys, "chebyshev", "1000", "3", *fmt) == (
+        2, "", "error: surd coefficient <642-bit int> exceeds the 640-bit width\n"
     )
 
 
 def test_chebyshev_index_past_maxsize_overflows_like_any_other(capsys):
-    # an index past sys.maxsize: the walk still ends at the 64-bit overflow
-    code, out, err = invoke(capsys, "chebyshev", str(2**63), "3")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: surd coefficient ")
-    assert err.endswith(" exceeds the signed 64-bit range\n")
+    # an index past sys.maxsize: the walk still ends where u_j leaves the width
+    assert invoke(capsys, "chebyshev", str(2**63), "3") == (
+        2, "", "error: surd coefficient <642-bit int> exceeds the 640-bit width\n"
+    )
 
 
 # sweep
@@ -667,11 +677,14 @@ def test_chebyshev_large_index_answers_within_deadline():
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
 @pytest.mark.parametrize(
-    "n, r", [("1000000000000000000", "1.5"), ("15" + "0" * 307, "0.5")], ids=["1e18", "1.5e308"]
+    "n, r, shown",
+    [("1000000000000000000", "1.5", "1000000000000000000"), ("15" + "0" * 307, "0.5", "<1024-bit int>")],
+    ids=["1e18", "1.5e308"],
 )
-def test_chebyshev_float_past_precision_is_resource_error(capsys, n, r, fmt):
-    # below 2 the phase (n + 1) theta carries theta's rounding: past 2**40 no answer is given
-    message = f"error: u_{n}({r}) is past float precision: its phase passes 2**40\n"
+def test_chebyshev_float_past_precision_is_resource_error(capsys, n, r, shown, fmt):
+    # below 2 the phase (n + 1) theta carries theta's rounding: past 2**40 no answer is given;
+    # an n past the width is shown by its bit length
+    message = f"error: u_{shown}({r}) is past float precision: its phase passes 2**40\n"
     assert invoke(capsys, "chebyshev", n, r, *fmt) == (2, "", message)
 
 
@@ -773,6 +786,8 @@ def test_zero_padded_numerals_are_read_by_value(capsys, argv, plain):
 )
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
 def test_numerals_past_the_conversion_limit_are_resource_errors(capsys, argv, what, fmt):
-    # past int()'s digit limit a numeral is past 64 bits, as one of 25 digits is
-    message = f"error: {what} of 5000 digits exceeds the signed 64-bit range\n"
+    # past int()'s digit limit, at least 640 digits, a numeral is past the 640-bit width and
+    # past a radicand's signed 64 bits
+    past = "the signed 64-bit range" if what == "surd radicand" else "the 640-bit width"
+    message = f"error: {what} of 5000 digits exceeds {past}\n"
     assert invoke(capsys, *argv, *fmt) == (2, "", message)

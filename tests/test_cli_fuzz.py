@@ -19,16 +19,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import markov_mutator
 from markov_mutator.cli import EXIT_CLOSED_STDOUT, SWEEP_CAP, run
 from markov_mutator.enumeration import ENUMERATION_CAP
-from markov_mutator.errors import INT64_MAX, MarkovMutatorError
+from markov_mutator.errors import INT64_MAX, WIDTH_BITS, MarkovMutatorError
 from markov_mutator.matrices import MatM, TripleS, gamma_tuple
 from markov_mutator.surd import Surd
 
-# Integers at and around the signed 64-bit boundaries, and the widths where
-# a square or a product of two of them first leaves 64 bits.
+# Integers at and around the signed 64-bit boundaries, which radicands keep, and
+# the widths where a square or a product of two of them first leaves 64 bits;
+# then the edge of the width of coefficients and matrix entries, +-(2^640 - 1)
+# and +-2^640, and 2^320, whose square reaches it.
 BOUNDARY_INTS = [
     -(1 << 64), -(1 << 63) - 1, -(1 << 63), -(1 << 63) + 1, -(1 << 31), -1,
     0, 1, 2, 3, 4, 5, 1 << 31, 3037000499, 3037000500, 1 << 62,
     INT64_MAX - 1, INT64_MAX, 1 << 63, 1 << 64,
+    -(1 << WIDTH_BITS), -(1 << WIDTH_BITS) + 1, 1 << (WIDTH_BITS // 2),
+    (1 << WIDTH_BITS) - 1, 1 << WIDTH_BITS,
 ]
 # 64-bit radicands the split must take apart quickly (a prime, a product of
 # two 32-bit primes, squares of 31- and 32-bit numbers), a 65-bit prime, and
@@ -68,7 +72,7 @@ malformed = st.one_of(st.sampled_from(MALFORMED), st.text(max_size=12), nested_j
 
 def _lift_columns(l, m, n, u, v, w):
     """Columns (l u, l w), (m v, m u), (n w, n v): products agree, so the matrix is valid
-    whenever its entries fit in 64 bits."""
+    whenever its entries fit in the width."""
     return (l * u, l * w), (m * v, m * u), (n * w, n * v)
 
 
@@ -93,7 +97,7 @@ def _climb(seed, word):
 
 
 # gamma words on fundamental-domain points: cluster-cyclic matrices, some of
-# them past 64 bits, for reduce and orbit to work on
+# them past 64 bits and some past the width, for reduce and orbit to work on
 climbed = st.builds(
     _climb,
     st.sampled_from([(3, 3, 3, 3, 3, 3), (2, 2, 2, 2, 2, 2), (4, 1, 2, 1, 4, 2), (5, 10, 1, 5, 2, 5)]),

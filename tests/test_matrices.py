@@ -19,6 +19,7 @@ from markov_mutator.errors import (
     OverflowLimitError,
     ProductMismatch,
     SignMismatch,
+    WIDTH_BITS,
 )
 from markov_mutator.matrices import (
     CyclicityClass,
@@ -101,11 +102,15 @@ def test_validation_sign_mismatch():
 
 
 def test_validation_int64():
-    with pytest.raises(OverflowLimitError):
-        MatM(1 << 63, 1, 1, 1, 1, 1)
-    with pytest.raises(OverflowLimitError) as exc:  # too wide for int's string conversion
-        MatM(10**5000, 1, 1, 1, 1, 1)
-    assert str(exc.value) == "matrix entry x <16610-bit int> exceeds the signed 64-bit range"
+    # an entry holds WIDTH_BITS bits of magnitude, far past signed 64 bits
+    edge = 1 << WIDTH_BITS
+    for e in (1 << 63, edge - 1, 1 - edge):
+        assert MatM(e, 1, 1, e, 1, 1).entries() == (e, 1, 1, e, 1, 1)
+    # each refused entry is past WIDTH_BITS, so its text shows its width
+    for e, shown in [(edge, "<641-bit int>"), (-edge, "<641-bit int>"), (10**5000, "<16610-bit int>")]:
+        with pytest.raises(OverflowLimitError) as exc:
+            MatM(e, 1, 1, e, 1, 1)
+        assert str(exc.value) == f"matrix entry x {shown} exceeds the 640-bit width"
 
 
 def test_validation_type():
@@ -263,10 +268,10 @@ def test_triple_backends():
     with pytest.raises(TypeError, match="float-backend entry must be a real number, got '3'"):
         TripleS(1.0, 2.0, "3")
     for build in (TripleS, TripleS.approx):
-        for wide in (10**400, -(10**400)):  # ints past the float range
+        for wide in (10**400, -(10**400)):  # ints past the float range, so past WIDTH_BITS
             with pytest.raises(DomainError) as exc:
                 build(1, 2.0, wide)
-            assert str(exc.value) == f"float-backend entry must be finite, got {wide!r}"
+            assert str(exc.value) == "float-backend entry must be finite, got <1329-bit int>"
         with pytest.raises(DomainError, match="float-backend entry must be finite, got inf"):
             build(1.0, float("inf"), 1.0)
         with pytest.raises(DomainError) as exc:  # too wide for int's string conversion
@@ -309,13 +314,13 @@ def test_triple_parse_canonicalizes_entries():
         ("1, 2x, 3", DomainError, "not a surd expression: '2x'"),
         ("1, 2, sqrt(3", DomainError, "not a surd expression: 'sqrt(3'"),
         ("1,2", DomainError, "expected three comma-separated entries, got '1,2'"),
-        ("9223372036854775808, 1, 1", OverflowLimitError,
-         "surd coefficient 9223372036854775808 exceeds the signed 64-bit range"),
+        pytest.param(f"{2**640}, 1, 1", OverflowLimitError,
+                     "surd coefficient <641-bit int> exceeds the 640-bit width", id="wide-coefficient"),
         ("sqrt(9223372036854775811), 1, 1", OverflowLimitError,
          "surd radicand 9223372036854775811 exceeds the signed 64-bit range"),
         # entries are read in order: a wide first entry fails before a malformed second
-        ("9223372036854775808, x, 1", OverflowLimitError,
-         "surd coefficient 9223372036854775808 exceeds the signed 64-bit range"),
+        pytest.param(f"-{2**640}, x, 1", OverflowLimitError,
+                     "surd coefficient <641-bit int> exceeds the 640-bit width", id="wide-first-entry"),
         ("x, 9223372036854775808, 1", DomainError, "not a surd expression: 'x'"),
     ],
 )
@@ -324,6 +329,13 @@ def test_triple_parse_errors(text, error, message):
         TripleS.parse(text)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_triple_parse_reads_coefficients_up_to_the_width():
+    edge = 1 << WIDTH_BITS
+    s = TripleS.parse(f"{edge - 1}, -{edge - 1}*sqrt(2), 9223372036854775808*sqrt(2)")
+    assert s.ks == (edge - 1, 1 - edge, 1 << 63) and s.ds == (1, 2, 2)
+    assert s.pqr == -((edge - 1) ** 2) * 2**64
 
 
 # Every M1 representative with a constant in [-20, 4]; the infinite C = 4
@@ -550,13 +562,15 @@ def test_gamma_s_and_markov_s():
 
 
 def test_gamma_s_width():
-    """The new entry comes from the stored pqr: only what is stored is held to 64 bits."""
-    base = TripleS.parse("3037000500, 3037000500, 3037000500")
-    up = gamma_s(base, 1)  # the other two entries multiply to 3037000500^2 > 2^63
-    assert str(up) == "9223372033963249500, 3037000500, 3037000500"
+    """The new entry comes from the stored pqr: only what is stored is held to the width."""
+    edge = 1 << WIDTH_BITS
+    base = TripleS.parse(f"1, {2**320}, {2**320}")
+    up = gamma_s(base, 1)  # the other two entries multiply to 2^640, past the width
+    assert up.ks == (edge - 1, 2**320, 2**320)
     assert gamma_s(up, 1) == base
-    with pytest.raises(OverflowLimitError):
-        gamma_s(up, 2)  # the new entry itself leaves 64 bits
+    with pytest.raises(OverflowLimitError) as exc:
+        gamma_s(up, 2)  # the new entry itself leaves the width
+    assert str(exc.value) == "surd coefficient <960-bit int> exceeds the 640-bit width"
     # a zero entry takes the radicand of the other two
     assert str(gamma_s(TripleS.parse("0, 2*sqrt(3), sqrt(3)"), 1)) == "6, 2*sqrt(3), sqrt(3)"
 
@@ -569,8 +583,12 @@ def test_products_of_two_entries_are_width_checked_where_they_are_stored():
         sk(MatM(p, q, 1, q, p, 1))
     with pytest.raises(OverflowLimitError, match=message):
         gamma_s(TripleS.parse(f"0, sqrt({p}), sqrt({q})"), 1)
-    with pytest.raises(OverflowLimitError, match="surd coefficient 18446744073709551616 exceeds"):
-        gamma_s(TripleS.parse("0, 4611686018427387904*sqrt(2), 2*sqrt(2)"), 1)
+    # the coefficient of a product of two entries is held to the width: 4 (2^638 - 1) fits,
+    # 4 * 2^638 does not
+    up = gamma_s(TripleS.parse(f"0, {2**638 - 1}*sqrt(2), 2*sqrt(2)"), 1)
+    assert up.ks[0] == (1 << WIDTH_BITS) - 4
+    with pytest.raises(OverflowLimitError, match=r"^surd coefficient <641-bit int> exceeds the 640-bit width$"):
+        gamma_s(TripleS.parse(f"0, {2**638}*sqrt(2), 2*sqrt(2)"), 1)
 
 
 def test_gamma_s_float_overflow_is_resource_error():

@@ -9,6 +9,7 @@ from markov_mutator.classify import ab_class, chebyshev_u, is_cluster_positive
 from markov_mutator.enumeration import enumerate_m1
 from markov_mutator.errors import (
     INT64_MAX,
+    WIDTH_BITS,
     DomainError,
     IterationCapExceeded,
     OverflowLimitError,
@@ -69,26 +70,27 @@ def test_constructor_rejects_non_canonical():
 
 
 def test_int64_storage_bound():
-    big = 1 << 63
+    # a coefficient holds WIDTH_BITS = 640 bits of magnitude; a radicand keeps signed 64 bits
+    assert WIDTH_BITS == 640
+    edge = 1 << WIDTH_BITS
+    for k in (1 << 63, edge - 1, 1 - edge):
+        assert Surd(k, 1).k == k
+    assert Surd(1, INT64_MAX - 24).radicand == INT64_MAX - 24  # the prime 2^63 - 25
     with pytest.raises(OverflowLimitError):
-        Surd(big, 1)
-    with pytest.raises(OverflowLimitError):
-        Surd(-big, 1)
-    with pytest.raises(OverflowLimitError):
-        Surd(1, big + 1)
-    with pytest.raises(OverflowLimitError):
-        Surd.from_int(3) * Surd.from_int(big // 2)
-    # past 14000 bits, near int's string conversion limit, the text gives the width
-    widest_shown = (1 << 14000) - 1
-    for k, d, shown in [
-        (10**5000, 1, "surd coefficient <16610-bit int>"),
-        (1, 10**5000, "surd radicand <16610-bit int>"),
-        (-widest_shown, 1, f"surd coefficient {widest_shown}"),
-        (widest_shown + 1, 1, "surd coefficient <14001-bit int>"),
+        Surd.from_int(3) * Surd.from_int(edge // 2)
+    # an int past WIDTH_BITS shows its width, so every refused coefficient does
+    for k, d, text in [
+        (edge, 1, "surd coefficient <641-bit int> exceeds the 640-bit width"),
+        (-edge, 1, "surd coefficient <641-bit int> exceeds the 640-bit width"),
+        (10**5000, 1, "surd coefficient <16610-bit int> exceeds the 640-bit width"),
+        (1, INT64_MAX + 2, "surd radicand 9223372036854775809 exceeds the signed 64-bit range"),
+        (1, edge - 1, f"surd radicand {edge - 1} exceeds the signed 64-bit range"),
+        (1, edge, "surd radicand <641-bit int> exceeds the signed 64-bit range"),
+        (1, 10**5000, "surd radicand <16610-bit int> exceeds the signed 64-bit range"),
     ]:
         with pytest.raises(OverflowLimitError) as exc:
             Surd(k, d)
-        assert str(exc.value) == f"{shown} exceeds the signed 64-bit range"
+        assert str(exc.value) == text
 
 
 def test_square_and_float():
@@ -361,8 +363,8 @@ def test_squarefree_split_past_the_rho_budget_raises(monkeypatch):
     ids=["prime-above-ceiling", "prime-10^100", "4000-digits"],
 )
 def test_radicand_past_any_64_bit_surd_is_refused_at_once(radicand):
-    # k**2 * d <= INT64_MAX**3 for every storable surd; a wider radicand
-    # used to spend the whole rho budget, each step slower the wider it was
+    # a radicand part above INT64_MAX**3 is refused before rho starts; it used to
+    # spend the whole rho budget, each step slower the wider it was
     with pytest.raises(OverflowLimitError, match="radicand part"):
         Surd.parse(f"sqrt({radicand})")
 
@@ -399,12 +401,12 @@ def test_derived_surds_pass_public_validation(a, b, n):
         assert_passes_public_validation(x)
 
 
-def assert_entry_leaves_64_bits(s, k):
-    """The new entry of gamma_k(s), worked out by sympy, has a coefficient wider than 64 bits."""
+def assert_entry_leaves_the_width(s, k):
+    """The new entry of gamma_k(s), worked out by sympy, has a coefficient past the width."""
     p, q, r = (x.k * sympy.sqrt(x.radicand) for x in s.entries())
     new = {1: q * r - p, 2: r * p - q, 3: p * q - r}[k]
     coeff, _ = sympy.sqrt(sympy.expand(new**2)).as_coeff_Mul()
-    assert abs(coeff) > INT64_MAX
+    assert abs(coeff) >= 1 << WIDTH_BITS
 
 
 @given(st.integers(-60, 3), st.data())
@@ -415,7 +417,7 @@ def test_gamma_and_descent_results_pass_public_validation(c, data):
             s = gamma_s(s, k)
         except OverflowLimitError:
             # a typed error, raised only when the climbed entry is truly too wide
-            assert_entry_leaves_64_bits(s, k)
+            assert_entry_leaves_the_width(s, k)
             break
         for x in s.entries():
             assert_passes_public_validation(x)
@@ -425,13 +427,21 @@ def test_gamma_and_descent_results_pass_public_validation(c, data):
 
 
 def test_gamma_overflow_is_raised_only_past_64_bits():
+    # the climb 3 1 2 3 1 2 ... passes 64 bits at its sixth step, q = 16092950886989629388,
+    # and goes on: the step that raises is the first whose new coefficient is past the width
     s = TripleS.parse("4*sqrt(5), 8, sqrt(5)")  # an M1 representative for C = -11
     for k in (3, 1, 2, 3, 1):
         s = gamma_s(s, k)
     assert str(s) == "348857179520*sqrt(5), 37812, 9226097*sqrt(5)"
-    with pytest.raises(OverflowLimitError, match="surd coefficient 16092950886989629388"):
-        gamma_s(s, 2)
-    assert_entry_leaves_64_bits(s, 2)
+    s = gamma_s(s, 2)
+    assert str(s.q) == "16092950886989629388"
+    for k in (3, 1, 2, 3):
+        s = gamma_s(s, k)
+    assert max(abs(k) for k in s.ks).bit_length() == 437
+    with pytest.raises(OverflowLimitError) as exc:
+        gamma_s(s, 1)
+    assert str(exc.value) == "surd coefficient <707-bit int> exceeds the 640-bit width"
+    assert_entry_leaves_the_width(s, 1)
 
 
 def test_derived_values_are_not_split_again(monkeypatch):
