@@ -7,7 +7,10 @@ zz' is at least 4. Positive triples split into classes M1/M2/M3 by how
 many of the three gamma directions are entrywise non-decreasing (3,
 exactly 2, at most 1). Cluster-positive triples either descend to a
 unique M1 minimum (class A) or consist entirely of M2 elements whose
-descent tends to (2, 2, 2) (class B; only possible when C = 4).
+descent tends to (2, 2, 2) (class B; only possible when C = 4). The
+M1/M2/M3 test and the decreasing gamma step read only the squares p^2,
+q^2, r^2 and the product pqr, so the exact descent steps those integers
+(matrices._descend) and takes square roots only where it stops.
 
 On C = 4, write each entry as 2 cosh(angle). With entries at least 2,
 C < 4, C = 4 and C > 4 say that the largest angle is below, equal to
@@ -35,6 +38,7 @@ from .matrices import (
     MatM,
     MutationPath,
     TripleS,
+    _descend,
     _directions,
     _path,
     _triple,
@@ -241,83 +245,52 @@ def ab_class(s: TripleS, cap: int = DESCENT_CAP) -> ABClass:
     The descent repeatedly takes the unique strictly-decreasing gamma while
     the iterate is M2, and the M1 element reached is the class A
     representative; an M3 iterate means the input was not cluster-positive.
-    An exact triple descends in integer locals (_ab_class_exact). A float
-    triple whose angle gap is within its tolerance (_angles) is on C = 4
-    and descends by Euclid on its angles (_ab_class_angles). Every other
-    float triple steps by gamma_s, with direction tests slack by
-    FLOAT_CLASS_EPS. (Over triples with integer squares the answer is
-    always A, and off C = 4 class B cannot occur.) A representative reached
-    in no step is s itself. Hitting the cap raises IterationCapExceeded
-    with the last iterate; a cap that is not an int is a TypeError, a
-    negative cap a DomainError, and cap = 0 allows no step.
+    An exact triple descends on its squares k_i**2 d_i and pqr in plain
+    integers (matrices._descend); each coefficient of the iterate it stops
+    at is isqrt(q_i // d_i), as the radicands never change, and a t < 0
+    makes the last-stepped one negative. A float triple whose angle gap is
+    within its tolerance (_angles) is on C = 4 and descends by Euclid on
+    its angles (_ab_class_angles). Every other float triple steps by
+    gamma_s, with direction tests slack by FLOAT_CLASS_EPS. (Over triples
+    with integer squares the answer is always A, and off C = 4 class B
+    cannot occur.) A representative reached in no step is s itself.
+    Hitting the cap raises IterationCapExceeded with the last iterate; a
+    cap that is not an int is a TypeError, a negative cap a DomainError,
+    and cap = 0 allows no step.
     """
     if type(cap) is not int or cap < 0:  # tested inline, as MatM does, to keep the call out
         ensure_budget(cap, "cap")
-    k0, k1, k2 = s.ks
+    (k0, k1, k2), ds = s.ks, s.ds
     if not (k0 > 0 and k1 > 0 and k2 > 0):
         raise DomainError("ab_class requires a positive triple")
-    if s.ds is not None:
-        return _ab_class_exact(s, cap)
-    found = _angles(s.ks)
-    if found is not None and abs(found[1]) <= found[2]:
-        return _ab_class_angles(s, found[0], cap)
-    cur, word = s, []
-    while True:
-        flags = _directions(cur.ks, None, cur.pqr, FLOAT_CLASS_EPS)
-        count = sum(flags)
-        if count == 3:
-            return ABClass(ABKind.A, _path(tuple(word)), len(word), cur)
-        if count < 2:
-            raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
-        if len(word) >= cap:
-            raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=cur)
-        i = flags.index(False) + 1
-        cur = gamma_s(cur, i)
-        word.append(i)
-
-
-def _ab_class_exact(s: TripleS, cap: int) -> ABClass:
-    """The loop of ab_class on a positive exact triple, held in integer locals.
-
-    Entry i is k_i sqrt(d_i), its square q_i = k_i**2 d_i, and t = pqr.
-    Direction i is non-decreasing when t >= 2 q_i, the rule of _directions
-    for a positive entry. A step is gamma_s on a positive entry: k_i
-    becomes t // (k_i d_i) - k_i, q_i its new square and t the product of
-    the other two squares minus t; the radicands never change. A step
-    changes one entry of a positive triple, so only the last iterate can
-    hold an entry at most zero, and it is M3 under either rule: t <= 0
-    makes the directions of the two positive entries decreasing.
-    """
-    (k0, k1, k2), ds, t = s.ks, s.ds, s.pqr
-    d0, d1, d2 = ds
-    q0, q1, q2 = k0 * k0 * d0, k1 * k1 * d1, k2 * k2 * d2
-    word: list[int] = []
-    while True:
-        f0, f1, f2 = t >= 2 * q0, t >= 2 * q1, t >= 2 * q2
-        if f0 and f1 and f2:
-            rep = _triple((k0, k1, k2), ds, t) if word else s
-            return ABClass(ABKind.A, _path(tuple(word)), len(word), rep)
-        if f0 + f1 + f2 < 2:
-            cur = _triple((k0, k1, k2), ds, t)
-            raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
-        if len(word) >= cap:
-            last = _triple((k0, k1, k2), ds, t)
-            raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=last)
-        if not f0:
-            k0 = t // (k0 * d0) - k0
-            q0 = k0 * k0 * d0
-            t = q1 * q2 - t
-            word.append(1)
-        elif not f1:
-            k1 = t // (k1 * d1) - k1
-            q1 = k1 * k1 * d1
-            t = q2 * q0 - t
-            word.append(2)
-        else:
-            k2 = t // (k2 * d2) - k2
-            q2 = k2 * k2 * d2
-            t = q0 * q1 - t
-            word.append(3)
+    cur = s
+    if ds is not None:
+        d0, d1, d2 = ds
+        q0, q1, q2, t = k0 * k0 * d0, k1 * k1 * d1, k2 * k2 * d2, s.pqr
+        word, (q0, q1, q2, t), count = _descend(q0, q1, q2, t, cap)
+        if word:
+            ks = [math.isqrt(q0 // d0), math.isqrt(q1 // d1), math.isqrt(q2 // d2)]
+            if t < 0:
+                ks[word[-1] - 1] *= -1
+            cur = _triple(tuple(ks), ds, t)
+    else:
+        found = _angles(s.ks)
+        if found is not None and abs(found[1]) <= found[2]:
+            return _ab_class_angles(s, found[0], cap)
+        word = []
+        while True:
+            flags = _directions(cur.ks, None, cur.pqr, FLOAT_CLASS_EPS)
+            count = sum(flags)
+            if count != 2 or len(word) >= cap:
+                break
+            i = flags.index(False) + 1
+            cur = gamma_s(cur, i)
+            word.append(i)
+    if count == 3:
+        return ABClass(ABKind.A, _path(tuple(word)), len(word), cur)
+    if count < 2:
+        raise DomainError(f"triple {cur} is M3; the input was not cluster-positive")
+    raise IterationCapExceeded(f"descent did not resolve within {cap} steps", last=cur)
 
 
 def _from_angles(angles: list[float]) -> TripleS:

@@ -81,15 +81,16 @@ class M1Representative(Value):
         if ds is None or len(squares) != 3 or any(
             k <= 0 or k * k * d != v for k, d, v in zip(ks, ds, squares)
         ):
-            raise DomainError(f"triple ({triple}) does not match squares {squares}")
+            raise DomainError(f"triple ({triple}) does not match squares {_int_repr(squares)}")
         a, b, c = squares
         if not a >= b >= c > 0:
-            raise DomainError(f"squares must satisfy a >= b >= c > 0, got {squares}")
+            raise DomainError(f"squares must satisfy a >= b >= c > 0, got {_int_repr(squares)}")
         if not all(_directions(ks, ds, triple.pqr)):
             raise DomainError(f"sqrt(abc) = {triple.pqr} < 2a = {2 * a}: not descent-minimal")
         constant = markov_c_s(triple)
         if constant != markov:
-            raise DomainError(f"markov constant of squares {squares} is {constant}, not {markov}")
+            shown = f"{_int_repr(squares)} is {constant}, not {_int_repr(markov)}"
+            raise DomainError(f"markov constant of squares {shown}")
         object.__setattr__(self, "triple", triple)
         object.__setattr__(self, "squares", squares)
         object.__setattr__(self, "markov", markov)

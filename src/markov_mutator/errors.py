@@ -111,7 +111,10 @@ class IterationCapExceeded(ResourceError):
 
 def _int_repr(value: object) -> str:
     """repr(value), or '<N-bit int>' for an int past WIDTH_BITS bits: int's string
-    conversion refuses more digits than sys.get_int_max_str_digits(), at least 640."""
+    conversion refuses more digits than sys.get_int_max_str_digits(), at least 640.
+    A tuple is written as its items, each so, in parentheses."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_int_repr, value))})"
     n = value.bit_length() if isinstance(value, int) else 0
     return repr(value) if n <= WIDTH_BITS else f"<{n}-bit int>"
 

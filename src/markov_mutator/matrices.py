@@ -28,6 +28,9 @@ ks[i] * sqrt(ds[i]). Its p, q and r are read-only properties that build
 a Surd when read. A float triple stores its floats in ks, None in ds and
 their product in pqr. The direction test (_directions) reads this stored
 layout of either backend, and gamma_s is the one gamma step on triples.
+_descend is the one exact descent: it steps the squares of three entries and
+their product, which classify.ab_class reads off a triple and
+orbits.reduce_to_fundamental off a matrix's columns.
 _exact_triple is the checked way in for (k, d) pairs: it checks the
 widths of the entries (surd._check_widths), takes pqr from one isqrt of
 the radicands' product and raises NotInShat when pqr is not an integer.
@@ -383,47 +386,53 @@ def _pos(a: int) -> int:
 
 
 def mutate_tuple(t: SixTuple, k: int) -> SixTuple:
-    """Matrix mutation mu_k on a raw six-tuple; no validity or width checks."""
+    """Matrix mutation mu_k on a raw six-tuple; no validity or width checks. k is an
+    int (errors.ensure_int) in {1, 2, 3}."""
     x, y, z, xp, yp, zp = t
-    if k == 1:
-        return (
-            x - yp * _pos(-zp) - _pos(yp) * zp,
-            -y,
-            -z,
-            xp - z * _pos(y) - _pos(-z) * y,
-            -yp,
-            -zp,
-        )
-    if k == 2:
-        return (
-            -x,
-            y - zp * _pos(-xp) - _pos(zp) * xp,
-            -z,
-            -xp,
-            yp - x * _pos(z) - _pos(-x) * z,
-            -zp,
-        )
-    if k == 3:
-        return (
-            -x,
-            -y,
-            z - xp * _pos(-yp) - _pos(xp) * yp,
-            -xp,
-            -yp,
-            zp - y * _pos(x) - _pos(-y) * x,
-        )
+    if type(k) is int:  # one type test a call; a bool or float index is refused below
+        if k == 1:
+            return (
+                x - yp * _pos(-zp) - _pos(yp) * zp,
+                -y,
+                -z,
+                xp - z * _pos(y) - _pos(-z) * y,
+                -yp,
+                -zp,
+            )
+        if k == 2:
+            return (
+                -x,
+                y - zp * _pos(-xp) - _pos(zp) * xp,
+                -z,
+                -xp,
+                yp - x * _pos(z) - _pos(-x) * z,
+                -zp,
+            )
+        if k == 3:
+            return (
+                -x,
+                -y,
+                z - xp * _pos(-yp) - _pos(xp) * yp,
+                -xp,
+                -yp,
+                zp - y * _pos(x) - _pos(-y) * x,
+            )
+    ensure_int(k, "mutation index")
     raise DomainError(f"mutation index must be 1, 2 or 3, got {_int_repr(k)}")
 
 
 def gamma_tuple(t: SixTuple, k: int) -> SixTuple:
-    """The gamma_k polynomial formulas on a raw six-tuple."""
+    """The gamma_k polynomial formulas on a raw six-tuple. k is an int
+    (errors.ensure_int) in {1, 2, 3}."""
     x, y, z, xp, yp, zp = t
-    if k == 1:
-        return (yp * zp - x, y, z, y * z - xp, yp, zp)
-    if k == 2:
-        return (x, zp * xp - y, z, xp, z * x - yp, zp)
-    if k == 3:
-        return (x, y, xp * yp - z, xp, yp, x * y - zp)
+    if type(k) is int:  # one type test a call; a bool or float index is refused below
+        if k == 1:
+            return (yp * zp - x, y, z, y * z - xp, yp, zp)
+        if k == 2:
+            return (x, zp * xp - y, z, xp, z * x - yp, zp)
+        if k == 3:
+            return (x, y, xp * yp - z, xp, yp, x * y - zp)
+    ensure_int(k, "gamma index")
     raise DomainError(f"gamma index must be 1, 2 or 3, got {_int_repr(k)}")
 
 
@@ -435,9 +444,7 @@ def _directions(
 ) -> list[bool]:
     """For each entry i: is s_i <= gamma_i(s), i.e. 2 s_i <= the product of the others?
 
-    Exact: entry i is ks[i] * sqrt(ds[i]) and t = pqr. Only ks[i]**2 * ds[i]
-    and the sign of ks[i] are read, so ds need not be squarefree: a positive
-    matrix is ks = (1, 1, 1), ds = (xx', yy', zz'), t = xyz. For s_i != 0 the
+    Exact: entry i is ks[i] * sqrt(ds[i]) and t = pqr. For s_i != 0 the
     product of the others is t / s_i, so the test is sign(s_i) (t - 2 s_i^2)
     >= 0; for s_i = 0 it is the sign of that product. rel_eps is ignored.
 
@@ -466,6 +473,37 @@ def _directions(
     return flags
 
 
+def _descend(q0: int, q1: int, q2: int, t: int, cap: Union[int, float]):
+    """The exact M1/M2/M3 descent on the squares q_i of three positive entries
+    s_i and their product t; cap bounds the steps and may be math.inf.
+
+    Direction i is non-decreasing when t >= 2 q_i, the rule of _directions for
+    a positive entry. While exactly two are (M2), the third is stepped by gamma_i:
+    s_i becomes t / s_i - s_i, whose square is q_j q_k - 2 t + q_i, and t
+    becomes q_j q_k - t, with no division. A positive matrix's column products
+    xx', yy', zz' and xyz follow the same rule. Returns the word, the last
+    (q0, q1, q2, t) and its count of non-decreasing directions: 3 at M1, at
+    most 1 at M3, and 2 once cap steps are taken. Squares hold no sign, but
+    only the last-stepped entry can reach zero or below: t is then <= 0 and
+    has its sign, and the directions of the other two entries decrease, so
+    the loop stops there, at M3.
+    """
+    word: list[int] = []
+    while True:
+        f0, f1, f2 = t >= 2 * q0, t >= 2 * q1, t >= 2 * q2
+        if f0 + f1 + f2 != 2 or len(word) >= cap:
+            return word, (q0, q1, q2, t), f0 + f1 + f2
+        if not f0:
+            q0, t = q0 + q1 * q2 - 2 * t, q1 * q2 - t
+            word.append(1)
+        elif not f1:
+            q1, t = q1 + q2 * q0 - 2 * t, q2 * q0 - t
+            word.append(2)
+        else:
+            q2, t = q2 + q0 * q1 - 2 * t, q0 * q1 - t
+            word.append(3)
+
+
 def mutate(b: MatM, k: int) -> MatM:
     """The mutation mu_k, defined for cyclic and acyclic inputs alike."""
     return MatM(*mutate_tuple(b.entries(), k))
@@ -490,7 +528,7 @@ def gamma_s(s: TripleS, k: int) -> TripleS:
     is rebuilt by _exact_triple, whose width check also covers the new
     radicand.
     """
-    if k not in (1, 2, 3):
+    if ensure_int(k, "gamma index") not in (1, 2, 3):
         raise DomainError(f"gamma index must be 1, 2 or 3, got {_int_repr(k)}")
     i = k - 1
     ks, ds, t = list(s.ks), s.ds, s.pqr
@@ -513,13 +551,16 @@ def gamma_s(s: TripleS, k: int) -> TripleS:
 def sk(m: MatM) -> TripleS:
     """The double-sided skew-symmetrization: entry signs times sqrt of column products.
 
-    sqrt(aa') is taken as sqrt(|a|) * sqrt(|a'|), each root split on its
-    own and the two multiplied by surd._product, so square roots are only
-    split from the entries, never from their product. _exact_triple
-    checks the widths of the products, column by column.
+    With g = gcd(|a|, |a'|), or 1 for a zero column, sqrt(aa') is taken as
+    g * sqrt(|a| / g) * sqrt(|a'| / g): the two cofactors are coprime, so
+    each root is split on its own and surd._product multiplies them, and
+    a common factor, however wide, is never split. _exact_triple checks the
+    widths of the products, column by column.
     """
     return _exact_triple(
-        _product(*_canonical(_sgn(a), abs(a)), *_canonical(1, abs(b))) for a, b in m.columns()
+        _product(*_canonical(_sgn(a) * g, abs(a) // g), *_canonical(1, abs(b) // g))
+        for a, b in m.columns()
+        for g in (math.gcd(a, b) or 1,)
     )
 
 
@@ -568,10 +609,9 @@ def permute(m: Union[MatM, TripleS], sigma: Sequence[int]):
     matrix's two tuple rows."""
     sig = tuple(sigma)
     if not all(type(i) is int for i in sig):
-        raise TypeError(f"sigma must hold integers, got ({', '.join(map(_int_repr, sig))})")
+        raise TypeError(f"sigma must hold integers, got {_int_repr(sig)}")
     if sig not in _PERMS:
-        shown = ", ".join(map(_int_repr, sig))
-        raise DomainError(f"sigma must be a permutation of (1, 2, 3), got ({shown})")
+        raise DomainError(f"sigma must be a permutation of (1, 2, 3), got {_int_repr(sig)}")
     if isinstance(m, MatM):
         cols = m.columns()
         picked = [cols[i - 1] for i in sig]

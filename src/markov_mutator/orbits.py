@@ -6,7 +6,9 @@ The fundamental domain consists of the positive integer tuples with
 xyz >= 2xx', 2yy', 2zz'. Every cluster-cyclic gamma-orbit meets it in
 exactly one point, the entrywise minimum of the orbit, and greedy
 descent (apply the smallest strictly column-decreasing gamma until none
-is left) reaches it.
+is left) reaches it. The descent reads only the column products xx', yy',
+zz' and xyz, which gamma steps as it steps a triple's squares and pqr, so
+it is the exact descent of triples (matrices._descend).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .matrices import (
     MutationPath,
     SixTuple,
     TripleS,
-    _directions,
+    _descend,
     _path,
     gamma_tuple,
     mutate_tuple,
@@ -93,25 +95,22 @@ def reduce_to_fundamental(m: MatM) -> OrbitReport:
 
     While some gamma_i strictly decreases column i (equivalently
     xyz < 2 a_i a_i'), apply the smallest such i. The endpoint is the
-    unique M1 element of the orbit. is_minimal_certified checks the
-    endpoint itself against its three gamma images, without reusing the
-    flags that ended the loop.
+    unique M1 element of the orbit. The column products a_i a_i' and xyz
+    step as the squares and pqr of a triple do, so the word comes from the
+    one exact descent, matrices._descend, with no cap, and gamma_tuple
+    replays it on the entries. is_minimal_certified checks the endpoint
+    itself against its three gamma images, without reusing the flags that
+    ended the descent.
     """
     if cyclicity(m) is not CyclicityClass.POSITIVE_CYCLIC:
         raise NotClusterCyclic(f"{m} is not positive-cyclic")
     ok, cert = is_cluster_cyclic(m)
     if not ok:
         raise NotClusterCyclic(f"{m} is not cluster-cyclic ({cert.violated})")
-    cur = m.entries()
-    word: list[int] = []
-    while True:
-        x, y, z, xp, yp, zp = cur
-        flags = _directions((1, 1, 1), (x * xp, y * yp, z * zp), x * y * z)
-        if all(flags):
-            break
-        step = flags.index(False) + 1
-        cur = gamma_tuple(cur, step)
-        word.append(step)
+    x, y, z, xp, yp, zp = cur = m.entries()
+    word = _descend(x * xp, y * yp, z * zp, x * y * z, math.inf)[0]
+    for i in word:
+        cur = gamma_tuple(cur, i)
     return OrbitReport(
         representative=MatM(*cur),
         path=_path(tuple(reversed(word))),

@@ -20,8 +20,9 @@ through _surd: both check only the widths, errors.WIDTH_BITS for k and
 signed 64 bits for d.
 
 The split trial-divides by every f < 1000 while f**3 stays within the
-unfactored rest, which settles every radicand up to 10**9. A rest still
-above that goes to a Miller-Rabin test and Pollard-Brent rho, which
+unfactored rest, which settles every radicand up to 10**9. A rest that is
+a perfect square is taken whole, however wide. Any other rest above that
+goes to a Miller-Rabin test and Pollard-Brent rho, which
 raises IterationCapExceeded once RHO_BUDGET steps are spent, so a split
 takes bounded time whatever the size of the radicand.
 
@@ -84,8 +85,9 @@ def _squarefree_split(m: int) -> tuple[int, int]:
 
     Trial division by f < _TRIAL_LIMIT stops once f**3 exceeds the
     unfactored rest: that rest then has no prime factor below f, so it is
-    1, p, pq or p**2, and only p**2 is a square. A rest that outlasts the
-    trial range is above 10**9 and is factored by _prime_factors.
+    1, p, pq or p**2, and only p**2 is a square. A rest that is a square
+    is taken whole, however wide; any other rest that outlasts the trial
+    range is above 10**9 and is factored by _prime_factors.
     """
     k = d = 1
     rest = m
@@ -99,10 +101,10 @@ def _squarefree_split(m: int) -> tuple[int, int]:
         if e % 2:
             d *= f
         f += 1
+    root = math.isqrt(rest)
+    if root * root == rest:
+        return k * root, d
     if f * f * f > rest:
-        root = math.isqrt(rest)
-        if root * root == rest:
-            return k * root, d
         return k, d * rest
     for p, e in _prime_factors(rest).items():
         k *= p ** (e // 2)

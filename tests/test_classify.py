@@ -390,6 +390,17 @@ def test_float_ab_class_matches_descent_step_loop(s, word):
         ("5, 5, 1", "triple 5, 5, 1 is M3; the input was not cluster-positive"),
         ("2*sqrt(3), 2*sqrt(3), 1",
          "triple 2*sqrt(3), 2*sqrt(3), 1 is M3; the input was not cluster-positive"),
+        # the exact descent holds squares, which carry no sign: the iterate it stops at
+        # takes the sign of its stepped entry from pqr, after a step to zero ...
+        ("4, 2, 2", "triple 0, 2, 2 is M3; the input was not cluster-positive"),
+        ("3*sqrt(2), 2*sqrt(2), 2",
+         "triple sqrt(2), 0, 2 is M3; the input was not cluster-positive"),
+        # ... or below it, in each position
+        ("5, 2, 2", "triple -1, 2, 2 is M3; the input was not cluster-positive"),
+        ("2, 5, 2", "triple 2, -1, 2 is M3; the input was not cluster-positive"),
+        ("2, 2, 5", "triple 2, 2, -1 is M3; the input was not cluster-positive"),
+        ("sqrt(3), 2*sqrt(3), 5",
+         "triple sqrt(3), -sqrt(3), 1 is M3; the input was not cluster-positive"),
     ],
 )
 def test_ab_class_domain_errors(text, message):
@@ -536,6 +547,21 @@ def test_ab_class_iteration_cap():
     with pytest.raises(IterationCapExceeded) as exc:
         ab_class(TripleS.parse("6, 15, 3"), cap=1)
     assert exc.value.last == TripleS.parse("6, 3, 3")
+    # each iterate of a five-step exact descent, its coefficients rebuilt from the squares
+    trail = [
+        ("41605, 287*sqrt(5), 29*sqrt(5)", 1731392075),
+        ("10, 287*sqrt(5), 29*sqrt(5)", 416150),
+        ("10, 3*sqrt(5), 29*sqrt(5)", 4350),
+        ("10, 3*sqrt(5), sqrt(5)", 150),
+        ("5, 3*sqrt(5), sqrt(5)", 75),
+    ]
+    for cap, (text, pqr) in enumerate(trail):
+        with pytest.raises(IterationCapExceeded) as exc:
+            ab_class(TripleS.parse(trail[0][0]), cap=cap)
+        assert (str(exc.value.last), exc.value.last.pqr) == (text, pqr)
+        assert exc.value.last == TripleS.parse(text)
+    out = ab_class(TripleS.parse(trail[0][0]), cap=5)
+    assert (list(out.path), str(out.representative)) == ([1, 2, 3, 1, 2], "5, 2*sqrt(5), sqrt(5)")
     # the float plain loop carries its descent_step(..., rel_eps=FLOAT_CLASS_EPS) iterate
     s = TripleS.approx(6.0, 15.0, 3.0)
     with pytest.raises(IterationCapExceeded) as exc:

@@ -52,6 +52,17 @@ def test_representative_rejects_triple_that_does_not_match_squares():
     assert str(exc.value) == "triple (3.0, 3.0, 3.0) does not match squares (9, 9, 9)"
 
 
+def test_representative_texts_show_wide_ints_by_width():
+    triple = TripleS.parse("3, 3, 3")
+    for squares, markov, message in [
+        ((10**5000, 9, 9), 0, "triple (3, 3, 3) does not match squares (<16610-bit int>, 9, 9)"),
+        ((9, 9, 9), 10**5000, "markov constant of squares (9, 9, 9) is 0, not <16610-bit int>"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            M1Representative(triple, squares, markov)
+        assert str(exc.value) == message
+
+
 def test_representative_json():
     rep = M1Representative.from_squares(25, 20, 5, 0)
     assert rep.to_json() == {

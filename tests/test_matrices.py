@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import example, given, strategies as st
 
 import markov_mutator
@@ -33,6 +34,7 @@ from markov_mutator.matrices import (
     markov_c_m_abs,
     markov_c_s,
     mutate,
+    mutate_tuple,
     permute,
     sk,
 )
@@ -236,6 +238,18 @@ def test_sk_of_64_bit_prime_columns_answers_within_deadline():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "9223372036854775783, 9223372036854775783, 1\n"
+
+
+def test_sk_takes_the_common_factor_of_a_column_whole():
+    """sqrt(aa') is g sqrt(a / g) sqrt(a' / g) for g = gcd(a, a'): a wide prime shared by
+    a column is never split, while two distinct wide primes still leave the radicand width."""
+    p = int(sympy.nextprime(2**200))
+    q = int(sympy.nextprime(p))
+    assert str(sk(MatM(p, 1, 1, p, 1, 1))) == f"{p}, 1, 1"
+    assert str(sk(MatM(-2 * p, -3, -1, -2 * p, -3, -1))) == f"{-2 * p}, -3, -1"
+    with pytest.raises(OverflowLimitError) as exc:
+        sk(MatM(p, q, 1, q, p, 1))
+    assert str(exc.value) == f"radicand part {p} exceeds the signed 64-bit range"
 
 
 @given(valid_mats())
@@ -559,6 +573,24 @@ def test_gamma_s_and_markov_s():
     for k in (0, 4):  # every walk steps through gamma_s, so its index check guards them all
         with pytest.raises(DomainError, match=f"gamma index must be 1, 2 or 3, got {k}"):
             gamma_s(s, k)
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda k: gamma_s(TripleS.parse("3, 3, 3"), k), "gamma index"),
+        (lambda k: gamma_m(MatM(3, 3, 3, 3, 3, 3), k), "gamma index"),
+        (lambda k: gamma_tuple((3, 3, 3, 3, 3, 3), k), "gamma index"),
+        (lambda k: mutate(MatM(3, 3, 3, 3, 3, 3), k), "mutation index"),
+        (lambda k: mutate_tuple((3, 3, 3, 3, 3, 3), k), "mutation index"),
+    ],
+    ids=["gamma_s", "gamma_m", "gamma_tuple", "mutate", "mutate_tuple"],
+)
+@pytest.mark.parametrize("k", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_gamma_and_mutation_indices_take_int_only(call, what, k):
+    with pytest.raises(TypeError) as exc:
+        call(k)
+    assert str(exc.value) == f"{what} must be an integer, got {type(k).__name__}"
 
 
 def test_gamma_s_width():

@@ -170,6 +170,32 @@ def test_matrix_and_triple_descents_agree(base, word):
     assert sk(report.representative) == outcome.representative
 
 
+def golden_entry(k):
+    """2 cosh(k g) for 2 cosh g = sqrt(5), i.e. e^g the golden ratio: the Lucas number
+    L_k for even k and F_k sqrt(5) for odd k."""
+    f, f_next = 0, 1
+    for _ in range(k):
+        f, f_next = f_next, f + f_next
+    return Surd(f, 5) if k % 2 else Surd.from_int(2 * f_next - f)
+
+
+def test_deep_c4_descent_takes_every_step_without_a_cap():
+    """Angles (g, n g, (n + 1) g) lie on C = 4, and each step takes n off by one: n
+    steps to (sqrt(5), sqrt(5), 2), here on entries of about 280 bits."""
+    n = 400
+    s = TripleS(golden_entry(1), golden_entry(n), golden_entry(n + 1))
+    assert markov_c_s(s) == 4 and s.ks[1].bit_length() > 270
+    m = lift_to_matm(s)
+    assert sk(m) == s
+    report = reduce_to_fundamental(m)
+    outcome = ab_class(sk(m))
+    assert len(report.path) == outcome.iterations == n
+    assert report.path.indices[::-1] == outcome.path.indices
+    assert sk(report.representative) == outcome.representative
+    assert sorted(map(str, outcome.representative.entries())) == ["2", "sqrt(5)", "sqrt(5)"]
+    assert report.is_minimal_certified
+
+
 def test_representative_entrywise_minimal_in_bfs():
     for seed in (MatM(6, 3, 3, 6, 3, 3), MatM(5, 10, 1, 5, 2, 5), MatM(4, 4, 4, 4, 4, 4)):
         rep = reduce_to_fundamental(seed).representative

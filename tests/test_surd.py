@@ -369,6 +369,15 @@ def test_radicand_past_any_64_bit_surd_is_refused_at_once(radicand):
         Surd.parse(f"sqrt({radicand})")
 
 
+@pytest.mark.parametrize("bits", [100, 200, 318])
+def test_square_roots_of_wide_squares_answer(bits):
+    # the rest left by trial division is a square: it is taken whole, never factored
+    q = int(sympy.nextprime(2**bits))
+    assert surd_from_integer_square(q * q) == Surd.from_int(q)
+    assert Surd.parse(f"sqrt({5 * q * q})") == Surd(q, 5)
+    assert _squarefree_split(12 * q * q) == (2 * q, 3)
+
+
 @pytest.mark.parametrize(
     "text, kd",
     [
