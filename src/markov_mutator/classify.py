@@ -120,21 +120,14 @@ class ABClass(NamedTuple):
 
 
 class CyclicityCertificate(NamedTuple):
-    """Why a matrix was declared cluster-cyclic or not."""
+    """Why a matrix was declared cluster-cyclic or not: its constant, its column
+    products and, for a cluster-acyclic one, the condition that fails. A word of
+    mutations to an acyclic matrix is mu_orbit_search_acyclic's to find."""
 
     decision: str
     markov: int
     products: tuple[int, int, int]
     violated: Optional[str] = None
-    witness_path: Optional[MutationPath] = None
-
-    def to_json(self) -> dict:
-        out: dict = {"decision": self.decision, "markov": self.markov, "products": list(self.products)}
-        if self.violated is not None:
-            out["violated"] = self.violated
-        if self.witness_path is not None:
-            out["witness_path"] = self.witness_path.to_json()
-        return out
 
 
 def cyclicity(m: MatM) -> CyclicityClass:

@@ -2,13 +2,18 @@
 
 Every subcommand is deterministic given its flags: same invocation,
 same bytes. `--json` switches from human-readable lines to JSON on
-stdout. Exit codes: 0 success, 1 domain errors (invalid input,
-out-of-scope values, a negative --cap, --depth, --entry-bound or
---p-square-cap), 2 resource errors (overflow, caps) and usage errors,
-and 141 (128 + SIGPIPE) when the reader closes stdout before the
-output ends. run maps the two roots of errors.py, DomainError and
-ResourceError, to exits 1 and 2 and catches nothing else, so an
-exception of any other type is a bug and ends with its traceback.
+stdout. Each command builds its JSON document and its text lines in one
+function, from the same values. In the JSON, a surd is an object of its
+sign, the magnitude of its coefficient (coeff) and its radicand, a path
+is a list of gamma indices, and a matrix or a triple is its text.
+
+Exit codes: 0 success, 1 domain errors (invalid input, out-of-scope
+values, a negative --cap, --depth, --entry-bound or --p-square-cap), 2
+resource errors (overflow, caps) and usage errors, and 141 (128 +
+SIGPIPE) when the reader closes stdout before the output ends. run maps
+the two roots of errors.py, DomainError and ResourceError, to exits 1
+and 2 and catches nothing else, so an exception of any other type is a
+bug and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -107,6 +112,10 @@ def _parse_scalar(text: str) -> Union[Surd, float]:
     return value
 
 
+def _words(items) -> str:
+    return " ".join(str(i) for i in items)
+
+
 def _emit(args, payload, lines: list[str]) -> int:
     if args.json:
         import json
@@ -124,26 +133,31 @@ def _emit(args, payload, lines: list[str]) -> int:
 def _classify_matrix(args, m: MatM) -> int:
     cyc = cyclicity(m)
     ok, cert = is_cluster_cyclic(m)
-    if not ok:
-        hit = mu_orbit_search_acyclic(m, depth=args.depth, entry_bound=args.entry_bound)
-        if hit is not None:
-            cert = cert._replace(witness_path=hit[0])
-    fixed = m.is_positive() and is_fixed_point(m)
-    payload = {"matrix": str(m), "cyclicity": cyc.value}
-    payload.update(cert.to_json())
-    payload["fixed_point"] = fixed
-    payload["caps"] = {"depth": args.depth, "entry_bound": args.entry_bound}
+    payload = {
+        "matrix": str(m),
+        "cyclicity": cyc.value,
+        "decision": cert.decision,
+        "markov": cert.markov,
+        "products": list(cert.products),
+    }
     lines = [
         f"matrix: {m}",
         f"cyclicity: {cyc.value}",
         f"decision: {cert.decision}",
         f"markov: {cert.markov}",
-        "products: " + " ".join(str(p) for p in cert.products),
+        "products: " + _words(cert.products),
     ]
     if cert.violated is not None:
+        payload["violated"] = cert.violated
         lines.append(f"violated: {cert.violated}")
-    if cert.witness_path is not None:
-        lines.append("witness path: " + " ".join(str(i) for i in cert.witness_path))
+    caps = {"depth": args.depth, "entry_bound": args.entry_bound}
+    hit = None if ok else mu_orbit_search_acyclic(m, **caps)
+    if hit is not None:
+        payload["witness_path"] = list(hit[0])
+        lines.append("witness path: " + _words(hit[0]))
+    fixed = m.is_positive() and is_fixed_point(m)
+    payload["fixed_point"] = fixed
+    payload["caps"] = caps
     lines.append(f"fixed point: {'yes' if fixed else 'no'}")
     return _emit(args, payload, lines)
 
@@ -167,9 +181,9 @@ def _classify_triple(args, s: TripleS) -> int:
         lines.append(f"case: {outcome.kind.value} after {outcome.iterations} descent steps")
         if outcome.kind is ABKind.A:
             ab["representative"] = str(outcome.representative)
-            ab["path"] = outcome.path.to_json()
+            ab["path"] = list(outcome.path)
             lines.append(f"representative: {outcome.representative}")
-            lines.append("path: " + " ".join(str(i) for i in outcome.path))
+            lines.append("path: " + _words(outcome.path))
         else:
             ab["limit"] = list(outcome.limit)
             lines.append("limit: 2 2 2")
@@ -190,10 +204,15 @@ def _cmd_classify(args) -> int:
 
 def _cmd_reduce(args) -> int:
     report = reduce_to_fundamental(MatM.parse(args.matrix))
-    payload = report.to_json()
+    payload = {
+        "representative": str(report.representative),
+        "path": list(report.path),
+        "explored": report.explored,
+        "is_minimal_certified": report.is_minimal_certified,
+    }
     lines = [
         f"representative: {report.representative}",
-        "path: " + " ".join(str(i) for i in report.path),
+        "path: " + _words(report.path),
         f"explored: {report.explored}",
         f"minimal certified: {'yes' if report.is_minimal_certified else 'no'}",
     ]
@@ -202,9 +221,14 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_orbit(args) -> int:
     result = orbit_bfs(MatM.parse(args.matrix), depth=args.depth, entry_bound=args.entry_bound)
-    payload = result.to_json()
-    lines = [f"count: {len(result.members)}", f"pruned: {result.pruned}"]
-    lines.extend(payload["members"])
+    members = sorted(str(m) for m in result.members)
+    payload = {
+        "members": members,
+        "count": len(members),
+        "pruned": result.pruned,
+        "caps": {"depth": result.depth, "entry_bound": result.entry_bound},
+    }
+    lines = [f"count: {len(members)}", f"pruned: {result.pruned}", *members]
     return _emit(args, payload, lines)
 
 
@@ -219,11 +243,11 @@ def _cmd_lift(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     reps = enumerate_m1(args.markov, p_square_cap=args.p_square_cap)
-    payload = [r.to_json() for r in reps]
-    rows = [("p", "q", "r", "C")]
-    for r in reps:
-        p, q, rr = r.triple.entries()
-        rows.append((str(p), str(q), str(rr), str(r.markov)))
+    payload, rows = [], [("p", "q", "r", "C")]
+    for rep in reps:
+        p, q, r = map(str, rep.triple.entries())
+        payload.append({"p": p, "q": q, "r": r, "squares": list(rep.squares), "markov": rep.markov})
+        rows.append((p, q, r, str(rep.markov)))
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
     return _emit(args, payload, lines)
@@ -248,7 +272,8 @@ def _cmd_chebyshev(args) -> int:
     r = _parse_scalar(args.r)
     value = chebyshev_u(args.n, r)
     if isinstance(value, Surd):
-        payload = {"n": args.n, "r": str(r), "u": value.to_json(), "text": str(value)}
+        u = {"sign": value.sign, "coeff": abs(value.k), "radicand": value.radicand}
+        payload = {"n": args.n, "r": str(r), "u": u, "text": str(value)}
     else:
         payload = {"n": args.n, "r": r, "u": value}
     return _emit(args, payload, [str(value)])

@@ -69,7 +69,9 @@ class M1Representative(Value):
 
     Checked on the triple's stored ks, ds and pqr: each square is k**2 * d of
     a positive entry, so abc = pqr**2, and the package's own predicates decide
-    M1 (matrices._directions) and the constant (matrices.markov_c_s)."""
+    M1 (matrices._directions) and the constant (matrices.markov_c_s). The
+    squares and the constant must be ints (errors.ensure_int), and the squares
+    are stored as a tuple."""
 
     __slots__ = ("triple", "squares", "markov")
     triple: TripleS
@@ -77,6 +79,8 @@ class M1Representative(Value):
     markov: int
 
     def __init__(self, triple: TripleS, squares: tuple[int, int, int], markov: int) -> None:
+        squares = tuple(ensure_int(v, "square") for v in squares)
+        ensure_int(markov, "markov constant")
         ks, ds = triple.ks, triple.ds
         if ds is None or len(squares) != 3 or any(
             k <= 0 or k * k * d != v for k, d, v in zip(ks, ds, squares)
@@ -98,16 +102,6 @@ class M1Representative(Value):
     @classmethod
     def from_squares(cls, a: int, b: int, c: int, markov: int) -> M1Representative:
         return cls(triple=_root_triple(a, b, c), squares=(a, b, c), markov=markov)
-
-    def to_json(self) -> dict:
-        p, q, r = self.triple.entries()
-        return {
-            "p": str(p),
-            "q": str(q),
-            "r": str(r),
-            "squares": list(self.squares),
-            "markov": self.markov,
-        }
 
 
 def _vieta_squares(c_target: int, a_cap: int | None) -> list[tuple[int, int, int]]:

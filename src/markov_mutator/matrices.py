@@ -367,9 +367,6 @@ class MutationPath(Value):
     def __len__(self) -> int:
         return len(self.indices)
 
-    def to_json(self) -> list[int]:
-        return list(self.indices)
-
 
 # _triple and _path set slots by their member descriptors, as object.__setattr__
 # would but without its lookup.

@@ -64,14 +64,6 @@ class OrbitReport(NamedTuple):
     explored: int
     is_minimal_certified: bool
 
-    def to_json(self) -> dict:
-        return {
-            "representative": str(self.representative),
-            "path": self.path.to_json(),
-            "explored": self.explored,
-            "is_minimal_certified": self.is_minimal_certified,
-        }
-
 
 class OrbitBfsResult(NamedTuple):
     """Members found by a bounded gamma-word BFS, plus what was pruned."""
@@ -80,14 +72,6 @@ class OrbitBfsResult(NamedTuple):
     pruned: int
     depth: int
     entry_bound: int
-
-    def to_json(self) -> dict:
-        return {
-            "members": sorted(str(m) for m in self.members),
-            "count": len(self.members),
-            "pruned": self.pruned,
-            "caps": {"depth": self.depth, "entry_bound": self.entry_bound},
-        }
 
 
 def reduce_to_fundamental(m: MatM) -> OrbitReport:

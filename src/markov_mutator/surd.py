@@ -2,8 +2,7 @@
 
 k is a signed integer coefficient, the radicand is kept squarefree and
 zero is stored canonically as (0, 1), so equality of the two fields is
-equality of the represented reals. The JSON form writes k as its sign
-and its magnitude, coeff.
+equality of the represented reals.
 
 The radicand is factored only where a value enters the package: a
 Surd(k, radicand) built by a caller is checked in full, Surd.make splits
@@ -45,7 +44,6 @@ import itertools
 import math
 import operator
 import re
-from typing import Any
 
 from .errors import (
     _WIDTH_HIGH,
@@ -412,7 +410,7 @@ class Surd(Value):
     def __float__(self) -> float:
         return self.k * math.sqrt(self.radicand)
 
-    # -- text and JSON -----------------------------------------------
+    # -- text --------------------------------------------------------
 
     def __str__(self) -> str:
         return _render(self.k, self.radicand)
@@ -421,23 +419,6 @@ class Surd(Value):
     def parse(cls, text: str) -> Surd:
         """Parse the rendering grammar: 0, 3, -3, sqrt(5), 2*sqrt(5), -sqrt(6)."""
         return _surd(*_parse_kd(text))
-
-    def to_json(self) -> dict[str, int]:
-        return {"sign": self.sign, "coeff": abs(self.k), "radicand": self.radicand}
-
-    @classmethod
-    def from_json(cls, obj: Any) -> Surd:
-        """The Surd of a to_json object: integer sign, coeff and radicand, with sign
-        -1, 0 or 1 and 0 exactly when coeff is. Any other value raises DomainError."""
-        if isinstance(obj, dict):
-            sign, coeff, radicand = obj.get("sign"), obj.get("coeff"), obj.get("radicand")
-            if (
-                all(type(v) is int for v in (sign, coeff, radicand))
-                and coeff >= 0
-                and abs(sign) == (coeff > 0)
-            ):
-                return cls.make(sign * coeff, radicand)
-        raise DomainError(f"not a surd JSON object: {obj!r}")
 
 
 # _surd sets the slots by their member descriptors, as object.__setattr__ would but

@@ -113,15 +113,6 @@ def test_is_cluster_cyclic_examples():
     assert ok and cert == CyclicityCertificate("cluster_cyclic", 0, (9, 9, 9))
 
 
-def test_certificate_json_schema():
-    _, cert = is_cluster_cyclic(MatM(2, 2, 2, 2, 2, 2))
-    assert cert.to_json() == {"decision": "cluster_cyclic", "markov": 4, "products": [4, 4, 4]}
-    _, cert = is_cluster_cyclic(MatM(1, 1, 1, 1, 1, 1))
-    payload = cert.to_json()
-    assert payload["decision"] == "cluster_acyclic"
-    assert payload["violated"] == "product_xx_lt_4"
-
-
 def test_negative_cyclic_decision_matches_positive_mirror():
     ok_pos, _ = is_cluster_cyclic(MatM(3, 3, 3, 3, 3, 3))
     ok_neg, _ = is_cluster_cyclic(MatM(-3, -3, -3, -3, -3, -3))

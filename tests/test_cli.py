@@ -335,12 +335,17 @@ def test_reduce_rejects_non_cluster_cyclic(capsys):
 # orbit
 
 
-def test_orbit_fixed_point(capsys):
-    payload = invoke_json(capsys, "orbit", "2 2 2 / 2 2 2", "--depth", "5")
+@pytest.mark.parametrize(
+    "caps, entry_bound",
+    [(["--depth", "5"], 10**9), (["--depth", "2", "--entry-bound", "50"], 50)],
+    ids=["default-bound", "entry-bound-50"],
+)
+def test_orbit_fixed_point(capsys, caps, entry_bound):
+    payload = invoke_json(capsys, "orbit", "2 2 2 / 2 2 2", *caps)
     assert payload["members"] == ["2 2 2 / 2 2 2"]
     assert payload["count"] == 1
     assert payload["pruned"] == 0
-    assert payload["caps"] == {"depth": 5, "entry_bound": 10**9}
+    assert payload["caps"] == {"depth": int(caps[1]), "entry_bound": entry_bound}
 
 
 def test_orbit_human_lines(capsys):
@@ -440,6 +445,21 @@ def test_chebyshev_exact(capsys):
     assert invoke(capsys, "chebyshev", "3", "1_0.5") == (
         1, "", "error: cannot parse '1_0.5' as a surd or float\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, u, text",
+    [
+        (["2", "1"], {"sign": 0, "coeff": 0, "radicand": 1}, "0"),
+        (["3", "1"], {"sign": -1, "coeff": 1, "radicand": 1}, "-1"),
+        (["1", "--", "-sqrt(5)"], {"sign": -1, "coeff": 1, "radicand": 5}, "-sqrt(5)"),
+    ],
+)
+def test_chebyshev_json_writes_a_surd_as_sign_coeff_radicand(capsys, argv, u, text):
+    code, out, err = invoke(capsys, "chebyshev", "--json", *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["u"], payload["text"]) == (u, text)
 
 
 def test_chebyshev_float(capsys):

@@ -248,14 +248,9 @@ def test_generated_arguments_end_quietly_on_a_closed_stdout(argv):
 
 
 def test_parsers_raise_only_package_errors():
-    parsers = [Surd.parse, TripleS.parse, MatM.parse, Surd.from_json]
     for text in MALFORMED + NON_FINITE:
-        try:
-            decoded = [json.loads(text)]
-        except ValueError:
-            decoded = []
-        for parse, arg in [(p, text) for p in parsers] + [(Surd.from_json, v) for v in decoded]:
+        for parse in (Surd.parse, TripleS.parse, MatM.parse):
             try:
-                parse(arg)
+                parse(text)
             except MarkovMutatorError:
                 pass

@@ -63,15 +63,24 @@ def test_representative_texts_show_wide_ints_by_width():
         assert str(exc.value) == message
 
 
-def test_representative_json():
-    rep = M1Representative.from_squares(25, 20, 5, 0)
-    assert rep.to_json() == {
-        "p": "5",
-        "q": "2*sqrt(5)",
-        "r": "sqrt(5)",
-        "squares": [25, 20, 5],
-        "markov": 0,
-    }
+@pytest.mark.parametrize(
+    "triple, squares, markov, error",
+    [
+        ("3, 3, 3", (9.0, 9, 9), 0.0, "square must be an integer, got float"),
+        ("5, 2*sqrt(5), sqrt(5)", [25, 20, 5], False, "markov constant must be an integer, got bool"),
+        # a list of int squares is taken, and stored as a tuple, so the value hashes
+        ("5, 2*sqrt(5), sqrt(5)", [25, 20, 5], 0, None),
+    ],
+)
+def test_representative_fields_are_ints_and_squares_a_tuple(triple, squares, markov, error):
+    if error is not None:
+        with pytest.raises(TypeError) as exc:
+            M1Representative(TripleS.parse(triple), squares, markov)
+        assert str(exc.value) == error
+    else:
+        rep = M1Representative(TripleS.parse(triple), squares, markov)
+        assert rep.squares == (25, 20, 5)
+        assert hash(rep) == hash(M1Representative.from_squares(25, 20, 5, 0))
 
 
 # enumerate_m1

@@ -1,9 +1,9 @@
 """Every name a package module imports is used, every name it exports is bound
 and reached from outside its module, the package root exports exactly the joined
 __all__ of the modules it star-imports, every private module-level function is
-referred to outside its own def, no module holds an assert statement, and the
-command line starts without the standard library's heavy introspection modules
-or json."""
+referred to outside its own def, no module holds an assert statement, no module
+but cli.py defines a JSON format (to_json or from_json), and the command line
+starts without the standard library's heavy introspection modules or json."""
 
 import ast
 import importlib
@@ -180,6 +180,42 @@ def test_module_has_no_assert_statement(path):
     # python -O strips assert statements, and the check with them
     tree = ast.parse(path.read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+JSON_METHODS = ("to_json", "from_json")
+
+
+def json_methods(source: str) -> list[str]:
+    """'line:name' for each def or assignment anywhere in a source that binds
+    to_json or from_json."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        found += [f"{node.lineno}:{name}" for name in names if name in JSON_METHODS]
+    return found
+
+
+def test_json_methods_finds_defs_and_assignments_at_any_depth():
+    source = (
+        "class A:\n    def to_json(self):\n        pass\n"
+        "    from_json = classmethod(len)\n"
+        "def to_json_text():\n    to_json = 1\n"
+    )
+    assert json_methods(source) == ["2:to_json", "4:from_json", "6:to_json"]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "cli.py"], ids=lambda path: path.name
+)
+def test_only_the_cli_defines_a_json_format(path):
+    # every --json document is written in cli.py, from the values of its text
+    # lines; the library's result types are plain data
+    assert json_methods(path.read_text()) == []
 
 
 def test_package_exports_exactly_what_it_imports():

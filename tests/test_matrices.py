@@ -669,7 +669,6 @@ def test_mutation_path():
     p = MutationPath((1, 2, 1, 3))
     assert list(p) == [1, 2, 1, 3]
     assert len(p) == 4
-    assert p.to_json() == [1, 2, 1, 3]
     assert len(MutationPath()) == 0
     with pytest.raises(ValueError):
         MutationPath((1, 1))

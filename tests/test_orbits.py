@@ -205,16 +205,6 @@ def test_representative_entrywise_minimal_in_bfs():
             assert all(a <= b for a, b in zip(rep.entries(), other.entries()))
 
 
-def test_orbit_report_json_shape():
-    payload = reduce_to_fundamental(MatM(6, 3, 3, 6, 3, 3)).to_json()
-    assert payload == {
-        "representative": "3 3 3 / 3 3 3",
-        "path": [1],
-        "explored": 2,
-        "is_minimal_certified": True,
-    }
-
-
 # orbit_bfs
 
 
@@ -264,15 +254,6 @@ def test_bfs_entry_bound_prunes():
     assert result.pruned > 0
     for member in result.members:
         assert max(abs(e) for e in member.entries()) <= 10
-
-
-def test_bfs_json_shape():
-    result = orbit_bfs(MatM(2, 2, 2, 2, 2, 2), depth=2, entry_bound=50)
-    payload = result.to_json()
-    assert payload["members"] == ["2 2 2 / 2 2 2"]
-    assert payload["count"] == 1
-    assert payload["pruned"] == 0
-    assert payload["caps"] == {"depth": 2, "entry_bound": 50}
 
 
 @given(st.sampled_from(CLUSTER_CYCLIC_SEEDS))
