@@ -34,9 +34,9 @@ orbits.reduce_to_fundamental off a matrix's columns.
 _exact_triple is the checked way in for (k, d) pairs: it checks the
 widths of the entries (surd._check_widths), takes pqr from one isqrt of
 the radicands' product and raises NotInShat when pqr is not an integer.
-TripleS.parse feeds it from one match of the whole text (_TRIPLE_RE), and
-a text that does not match is read again entry by entry only to raise
-its error.
+TripleS.parse splits the text at commas and feeds it the entries lazily,
+each read by surd._parse_kd, the one reader of surd text, so the entries
+fail in order.
 _triple stores entries that are valid by construction as given, and
 _path does the same for words; both set the slots by their member
 descriptors. Every product of two exact values is surd._product on their
@@ -46,10 +46,9 @@ descriptors. Every product of two exact values is surd._product on their
 from __future__ import annotations
 
 import math
-import re
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator, NoReturn, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     _WIDTH_HIGH,
@@ -64,8 +63,7 @@ from .errors import (
     ensure_width,
 )
 from .surd import (
-    _ENTRY, _INT_TOKEN, Surd, _canonical, _check_widths, _entry_kd, _parse_kd, _product,
-    _read_int, _render, _surd,
+    _INT_TOKEN, Surd, _canonical, _check_widths, _parse_kd, _product, _read_int, _render, _surd,
 )
 from .value import Value
 
@@ -250,22 +248,6 @@ def _finite_float(e) -> float:
     raise DomainError(f"float-backend entry must be finite, got {shown}")
 
 
-def _triple_error(text: str) -> NoReturn:
-    """Raise the error of a text that _TRIPLE_RE rejects: read entry by entry, in
-    order, the first entry that is not a surd expression or is too wide fails."""
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise DomainError(f"expected three comma-separated entries, got {text!r}")
-    for part in parts:
-        _check_widths(*_parse_kd(part.strip()))
-    raise AssertionError(f"{text!r} reads entry by entry but does not match as a whole")
-
-
-# Three _ENTRY joined by commas, each with the Unicode whitespace that str.strip
-# strips around it; whitespace inside an entry is ASCII.
-_TRIPLE_RE = re.compile(rf"\s*{_ENTRY}\s*,\s*{_ENTRY}\s*,\s*{_ENTRY}\s*")
-
-
 class TripleS(Value):
     """Ordered triple (p, q, r), exact (entries k * sqrt(d)) or float, never mixed.
 
@@ -336,13 +318,15 @@ class TripleS(Value):
 
     @classmethod
     def parse(cls, text: str) -> TripleS:
-        """Parse comma-separated surd expressions, e.g. '5, 2*sqrt(5), sqrt(5)'."""
-        m = _TRIPLE_RE.fullmatch(text)
-        if m is None:
-            _triple_error(text)
-        # Four groups an entry, read lazily: each entry is parsed after the widths
-        # of the one before it pass.
-        return _exact_triple(map(_entry_kd, *[iter(m.groups())] * 4))
+        """Parse comma-separated surd expressions, e.g. '5, 2*sqrt(5), sqrt(5)'.
+
+        Each entry is stripped of the whitespace str.strip strips and read by
+        surd._parse_kd, lazily: it is read after the widths of the one before it pass.
+        """
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise DomainError(f"expected three comma-separated entries, got {text!r}")
+        return _exact_triple(_parse_kd(part.strip()) for part in parts)
 
 
 class MutationPath(Value):

@@ -6,17 +6,16 @@ equality of the represented reals.
 
 The radicand is factored only where a value enters the package: a
 Surd(k, radicand) built by a caller is checked in full, Surd.make splits
-a radicand that need not be squarefree, and _entry_kd turns the groups of
-a matched surd expression into the signed coefficient and squarefree
-radicand (k, d) with the same split. The expression is stated once, as
-the pattern fragment _ENTRY: Surd.parse matches it with ASCII whitespace
-around, and TripleS.parse matches three of it joined by commas in one
-pattern. Neither pattern has two repeats that can claim one character,
-so a failing match takes time linear in the text. Every numeral of the
-text grammars is read by _read_int. A (k, d) pair stored without a Surd
-is checked by _check_widths, and a value derived inside the package goes
-through _surd: both check only the widths, errors.WIDTH_BITS for k and
-signed 64 bits for d.
+a radicand that need not be squarefree, and _parse_kd reads a surd
+expression into the signed coefficient and squarefree radicand (k, d)
+with the same split. _parse_kd is the one reader of surd text: Surd.parse
+reads through it, and TripleS.parse reads each comma-separated entry
+through it. Its pattern, _SURD_RE, has no two repeats that can claim one
+character, so a failing match takes time linear in the text. Every
+numeral of the text grammars is read by _read_int. A (k, d) pair stored
+without a Surd is checked by _check_widths, and a value derived inside
+the package goes through _surd: both check only the widths,
+errors.WIDTH_BITS for k and signed 64 bits for d.
 
 The split trial-divides by every f < 1000 while f**3 stays within the
 unfactored rest, which settles every radicand up to 10**9. A rest that is
@@ -219,13 +218,14 @@ def _read_int(numeral: str, what: str, past: str = f"exceeds the {WIDTH_BITS}-bi
         raise OverflowLimitError(f"{what} of {len(digits)} digits {past}") from None
 
 
-# One surd entry with no whitespace around it: a signed numeral, a numeral times
+# One surd expression with whitespace around it: a signed numeral, a numeral times
 # sqrt(radicand), or sqrt(radicand). It is ASCII-only, so \d is [0-9] and \s is
 # [ \t\n\r\f\v], and each optional part carries its own whitespace, so no two repeats
 # can claim one character and a failing match takes time linear in the text.
 # Groups: sign, coefficient, radicand, radicand.
-_ENTRY = r"(?a:(?:([+-])\s*)?(?:(\d+)(?:\s*\*\s*sqrt\(\s*(\d+)\s*\))?|sqrt\(\s*(\d+)\s*\)))"
-_SURD_RE = re.compile(rf"\s*{_ENTRY}\s*", re.ASCII)
+_SURD_RE = re.compile(
+    r"\s*(?:([+-])\s*)?(?:(\d+)(?:\s*\*\s*sqrt\(\s*(\d+)\s*\))?|sqrt\(\s*(\d+)\s*\))\s*", re.ASCII
+)
 
 
 def _check_widths(k: int, d: int) -> None:
@@ -265,25 +265,21 @@ def _canonical(k: int, m: int) -> tuple[int, int]:
     return k * root, d
 
 
-def _entry_kd(sign, coeff, rad1, rad2) -> tuple[int, int]:
-    """The signed coefficient and squarefree radicand (k, d) of the groups of an
-    _ENTRY match, each a str or None. The radicand need not be squarefree and is
-    split as Surd.make splits it. Widths are not checked here."""
+def _parse_kd(text: str) -> tuple[int, int]:
+    """The (k, d) of a surd expression in the rendering grammar: 0, 3, -3, sqrt(5),
+    2*sqrt(5), -sqrt(6), with ASCII whitespace around and inside. The radicand need
+    not be squarefree and is split as Surd.make splits it. Widths are not checked
+    here: Surd.parse checks them through _surd, and TripleS.parse through
+    matrices._exact_triple before it reads the next entry."""
+    m = _SURD_RE.fullmatch(text)
+    if m is None:
+        raise DomainError(f"not a surd expression: {text!r}")
+    sign, coeff, rad1, rad2 = m.groups()
     k = _read_int(coeff, "surd coefficient") if coeff else 1
     if sign == "-":
         k = -k
     rad = rad1 or rad2
     return _canonical(k, _read_int(rad, "surd radicand", _RADICAND_RANGE)) if rad else (k, 1)
-
-
-def _parse_kd(text: str) -> tuple[int, int]:
-    """The (k, d) of a surd expression in the rendering grammar: 0, 3, -3, sqrt(5),
-    2*sqrt(5), -sqrt(6), with ASCII whitespace around and inside. Widths are not
-    checked here: _surd checks them when the value is built."""
-    m = _SURD_RE.fullmatch(text)
-    if m is None:
-        raise DomainError(f"not a surd expression: {text!r}")
-    return _entry_kd(*m.groups())
 
 
 def _render(k: int, d: int) -> str:

@@ -1,9 +1,9 @@
 """The benchmark's own output check, run on one round of its triple-descent workload,
 and the paired A/B tool that drives the same rounds.
 
-tools/ab.py is loaded by path, and bench/workloads.py is imported through its
-import_workloads, read-only: nothing under bench/ is written, not even
-bytecode. One TripleDescent round per seed, 1 to 4, goes through the
+tools/ab.py is loaded by path, and bench/run.py and bench/workloads.py are
+imported through its import_bench, read-only: nothing under bench/ is written,
+not even bytecode. One TripleDescent round per seed, 1 to 4, goes through the
 workload's run and check as bench/run.py drives them, so a change that
 breaks the representative, the path or the constant fails here, not only
 in a benchmark run. One more round runs through tools/ab.py on two copies
@@ -36,13 +36,14 @@ def ab():
 
 @pytest.fixture(scope="module")
 def workloads(ab):
-    return ab.import_workloads()
+    return ab.import_bench("workloads")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_triple_descent_round_passes_the_benchmark_check(ab, workloads, seed):
-    modules = {name: importlib.import_module(f"markov_mutator.{name}") for name in ab.MODULES}
-    mm = SimpleNamespace(**modules)
+    mm = SimpleNamespace(
+        **{name: importlib.import_module(f"markov_mutator.{name}") for name in ab.bench_run.MODULES}
+    )
     wl = workloads.TripleDescent(seed, str(ROOT / "src"))
     wl.warm(mm)
     assert len(wl.cases) > 1000

@@ -224,7 +224,7 @@ def test_every_subcommand_exits_cleanly_on_generated_arguments(argv):
     deadline=None,  # each example starts an interpreter
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(argvs.filter(lambda argv: not any("\0" in token for token in argv)))
+@given(argvs.map(lambda argv: [token.replace("\0", "") for token in argv]))  # exec refuses a NUL
 def test_generated_arguments_end_quietly_on_a_closed_stdout(argv):
     """With no reader on stdout, a run either ends on the closed pipe with
     EXIT_CLOSED_STDOUT and nothing on stderr, or fails first with exit 1 or 2

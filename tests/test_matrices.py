@@ -336,6 +336,10 @@ def test_triple_parse_canonicalizes_entries():
         pytest.param(f"-{2**640}, x, 1", OverflowLimitError,
                      "surd coefficient <641-bit int> exceeds the 640-bit width", id="wide-first-entry"),
         ("x, 9223372036854775808, 1", DomainError, "not a surd expression: 'x'"),
+        # entries are read lazily: a wide second entry fails before the third entry's
+        # numeral, past the digit count, is read
+        pytest.param(f"1, {2**640}, sqrt({'7' * 5000})", OverflowLimitError,
+                     "surd coefficient <641-bit int> exceeds the 640-bit width", id="lazy-third-entry"),
     ],
 )
 def test_triple_parse_errors(text, error, message):
@@ -474,8 +478,8 @@ _TEXTS = st.one_of(
 @example("sqrt(2), sqrt(3), sqrt(5)")
 @example("2*sqrt(8), 0012 , sqrt( 18 )")
 def test_parse_agrees_with_the_entry_by_entry_reader(text):
-    """One match per text reads what split, strip and Surd.parse read, and fails as they
-    fail, in the same order; Surd.parse keeps the language of _SURD_LANGUAGE."""
+    """TripleS.parse reads what split, strip, Surd.parse and the constructor read, and
+    fails as they fail, in the same order; Surd.parse keeps the language of _SURD_LANGUAGE."""
     assert outcome(TripleS.parse, text) == outcome(entry_by_entry, text)
     for part in text.split(","):
         assert outcome(Surd.parse, part) == outcome(surd_by_language, part)

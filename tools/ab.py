@@ -7,15 +7,16 @@ The base revision's ``src/`` is exported with ``git archive`` into a
 temporary directory, which is removed afterwards, and no worktree is
 registered in the repository. Both copies of the package are loaded into
 this one process under distinct names (the package uses only
-relative imports), and ``bench/workloads.py`` is imported read-only, with
-no bytecode written. Each round runs every case of the workload once on
-each side, the side that goes first alternating, times each call as
-``bench/run.py`` does and checks every answer with the workload's own
-check. The report gives each side's ``work_per_s`` over the rounds (median
-and quartiles), the median of the rounds' head/base ratios, which pairing
-keeps clear of the host's drift, with its 95% percentile-bootstrap interval
-(BOOTSTRAP_RESAMPLES resamples of the rounds from a fixed seed, so one set
-of rounds always gives one interval), and the rounds each side won.
+relative imports), and ``bench/run.py`` and ``bench/workloads.py`` are
+imported read-only, with no bytecode written. Each round runs every case
+of the workload once on each side, the side that goes first alternating,
+through ``bench/run.py``'s own ``run_case``, which times each call and
+checks every answer with the workload's own check. The report gives each
+side's ``work_per_s`` over the rounds (median and quartiles), the median
+of the rounds' head/base ratios, which pairing keeps clear of the host's
+drift, with its 95% percentile-bootstrap interval (BOOTSTRAP_RESAMPLES
+resamples of the rounds from a fixed seed, so one set of rounds always
+gives one interval), and the rounds each side won.
 Nothing is written under ``bench/``.
 """
 
@@ -32,25 +33,26 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("surd", "matrices", "classify", "orbits", "enumeration", "cli", "errors")
 BOOTSTRAP_RESAMPLES = 10_000
 
 
-def import_workloads():
-    """bench/workloads.py, imported without writing bytecode under bench/."""
+def import_bench(name: str):
+    """The module bench/<name>.py, imported without writing bytecode under bench/."""
     saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
     sys.path.insert(0, str(ROOT / "bench"))
     sys.dont_write_bytecode = True
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.path[:] = saved_path
         sys.dont_write_bytecode = saved_flag
+
+
+bench_run = import_bench("run")
 
 
 def load_package(name: str, src: Path) -> SimpleNamespace:
@@ -62,29 +64,19 @@ def load_package(name: str, src: Path) -> SimpleNamespace:
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
-    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in bench_run.MODULES})
 
 
 def run_round(wl, mm, errors) -> float:
-    """One round of the workload on one side: answered operations per second of timed calls."""
-    answered, timed = 0, 0.0
+    """One round of the workload on one side, each case through bench/run.py's run_case:
+    answered operations per second of timed calls. Problems are appended to errors."""
+    tally = bench_run.Tally()
+    tally.start_round()
     for case in wl.cases:
-        t0 = time.perf_counter()
-        try:
-            out, err = wl.run(mm, case), None
-        except Exception as exc:  # an expected failure is data, as in bench/run.py
-            out, err = None, exc
-        timed += time.perf_counter() - t0
-        if err is not None:
-            if not wl.expected_failure(case, err, mm):
-                errors.append(f"{case.kind} {case.data}: {type(err).__name__}: {err}")
-            continue
-        answered += 1
-        try:
-            wl.check(case, out)
-        except Exception as exc:
-            errors.append(f"check: {type(exc).__name__}: {exc}")
-    return answered / timed
+        bench_run.run_case(wl, mm, case, wl.run, tally)
+    tally.end_round()
+    errors += tally.problems
+    return tally.work_per_s()
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -110,7 +102,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
 
-    workloads = import_workloads()
+    workloads = import_bench("workloads")
     cls = workloads.WORKLOADS.get(args.workload)
     if cls is None or cls is workloads.CliMix:
         in_process = sorted(n for n, c in workloads.WORKLOADS.items() if c is not workloads.CliMix)
